@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import Report, best_of
-from repro.core.imprints import ColumnImprints
+from repro.core.imprints import SegmentedImprints
 from repro.engine.column import Column
 from repro.engine.select import range_select
 from repro.engine.stats import ZoneMap
@@ -45,12 +45,12 @@ class TestImprintBenchmarks:
     @pytest.mark.parametrize("layout", ["sorted", "clustered", "shuffled"])
     def test_build(self, benchmark, datasets, layout):
         col = Column.from_array("v", datasets[layout])
-        benchmark(lambda: ColumnImprints(col))
+        benchmark(lambda: SegmentedImprints(col, segment_rows=len(col)))
 
     @pytest.mark.parametrize("layout", ["sorted", "clustered", "shuffled"])
     def test_query(self, benchmark, datasets, layout):
         col = Column.from_array("v", datasets[layout])
-        imp = ColumnImprints(col)
+        imp = SegmentedImprints(col, segment_rows=len(col))
         benchmark(lambda: imp.query(400_000, 410_000))
 
 
@@ -75,7 +75,7 @@ class TestImprintReport:
             scanned = {}
             for layout, values in datasets.items():
                 col = Column.from_array("v", values)
-                imp = ColumnImprints(col)
+                imp = SegmentedImprints(col, segment_rows=len(col))
                 zm = ZoneMap(col, chunk_rows=1024)
                 stats = imp.stats()
                 np.testing.assert_array_equal(
@@ -121,7 +121,7 @@ class TestImprintReport:
                 headers=["range %", "candidates %", "false-positive rate %"],
             )
             col = Column.from_array("v", datasets["clustered"])
-            imp = ColumnImprints(col)
+            imp = SegmentedImprints(col, segment_rows=len(col))
             for fraction in (0.0001, 0.001, 0.01, 0.1, 0.5):
                 span = 1e6 * fraction
                 lo = 500_000 - span / 2

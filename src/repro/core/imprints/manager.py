@@ -20,17 +20,19 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
-import numpy as np
 from numpy.typing import NDArray
 
+from ...engine.scan import ScanStats
 from ...engine.table import Table
 from ...obs.metrics import get_registry
 from ...obs.timing import now
 from ...obs.trace import maybe_span
-from . import index as index_mod
-from .segments import DEFAULT_SEGMENT_ROWS, SegmentedImprints
+from .segments import DEFAULT_SEGMENT_ROWS, ImprintStats, SegmentedImprints
+
+if TYPE_CHECKING:  # pragma: no cover - core.query imports this module
+    from ..query import QueryStats
 
 
 class ImprintsManager:
@@ -151,31 +153,29 @@ class ImprintsManager:
         lo_inclusive: bool = True,
         hi_inclusive: bool = True,
         threads: Optional[int] = None,
-        stats: Optional[Any] = None,
+        stats: Optional["QueryStats"] = None,
     ) -> NDArray[Any]:
         """Exact range select, building the imprint on first use.
 
-        ``stats`` (any object with ``n_segments_skipped`` /
-        ``n_segments_probed`` counters) receives the zone-map accounting
-        of the probe; when it also exposes ``imprint_build_seconds``
-        (e.g. :class:`~repro.core.query.QueryStats`), the seconds a lazy
-        build cost this call are added there.
+        ``stats`` receives the probe's zone-map accounting (see
+        :meth:`~repro.core.query.QueryStats.add_scan`) and the seconds a
+        lazy build cost this call.
         """
         threads = threads if threads is not None else self.threads
         builds_before = self.segment_builds
         imp = self.ensure(table, column_name, threads=threads)
         if stats is not None and self.segment_builds != builds_before:
-            try:
-                stats.imprint_build_seconds += self.last_build_seconds
-            except AttributeError:
-                pass  # duck-typed stats without the build field
+            stats.imprint_build_seconds += self.last_build_seconds
+        scan = ScanStats()
         with maybe_span(
             "imprints.probe", table=table.name, column=column_name
         ) as span:
             oids = imp.query(
-                lo, hi, lo_inclusive, hi_inclusive, threads=threads, stats=stats
+                lo, hi, lo_inclusive, hi_inclusive, threads=threads, stats=scan
             )
             span.set(rows_out=int(oids.shape[0]))
+        if stats is not None:
+            stats.add_scan(scan)
         return oids
 
     @property
@@ -183,7 +183,7 @@ class ImprintsManager:
         """Total bytes across all live imprints."""
         return sum(imp.nbytes for imp in self._imprints.values())
 
-    def stats(self) -> Dict[Tuple[str, str], index_mod.ImprintStats]:
+    def stats(self) -> Dict[Tuple[str, str], ImprintStats]:
         """Per-(table, column) imprint statistics."""
         return {key: imp.stats() for key, imp in self._imprints.items()}
 

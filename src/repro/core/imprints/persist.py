@@ -5,19 +5,8 @@ does not pay the (cheap, but not free) rebuild on first query.  The
 format here mirrors the column files: a small header plus the raw arrays
 of the bin scheme and the cacheline dictionary.
 
-Two formats share the ``.imprint`` suffix:
-
-Flat (v1, magic ``RIMP``) — one :class:`ColumnImprints`::
-
-    magic    4 bytes  b"RIMP"
-    version  u16
-    vpc      u16      values per cacheline
-    n_rows   u64      indexed snapshot length
-    n_lines  u64
-    4 framed arrays (dtype tag + length + raw bytes, as engine.storage):
-      borders (f8), counters (i8), repeats (bool), vectors (u8 as u64)
-
-Segmented (v3, magic ``RIMS``) — one :class:`SegmentedImprints`::
+One ``.imprint`` file holds one :class:`SegmentedImprints` (v3, magic
+``RIMS``)::
 
     magic         4 bytes  b"RIMS"
     version       u16
@@ -30,8 +19,9 @@ Segmented (v3, magic ``RIMS``) — one :class:`SegmentedImprints`::
     column name   u16 length + utf-8 bytes
     per segment:
       start u64, stop u64
-      5 framed arrays: minmax (column dtype, 2 values), borders,
-      counters (i8), repeats (bool), vectors (u64)
+      5 framed arrays (dtype tag + length + raw bytes, as engine.storage):
+      minmax (column dtype, 2 values), borders, counters (i8),
+      repeats (bool), vectors (u64)
 
 The header carries the ``(table, column)`` key explicitly; the
 manager's loader reads it from there instead of parsing file names
@@ -40,14 +30,16 @@ same layout minus the ``crc32`` field) are still read; new files are
 written as v3 through the atomic-write protocol of
 :mod:`repro.engine.durable`, and a body-checksum mismatch raises
 :class:`ImprintPersistError` (counting ``durability.checksum_failures``)
-so the manager can quarantine the file and rebuild lazily.
+so the manager can quarantine the file and rebuild lazily.  Files from
+the retired flat format (v1, magic ``RIMP``) are not read: the manager
+skips them on load and rebuilds those indexes lazily.
 """
 
 from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,16 +48,9 @@ from ...engine import durable
 from ...engine.column import Column
 from .dictionary import CachelineDict
 from .histogram import BinScheme
-from .index import ColumnImprints
-
-if TYPE_CHECKING:
-    from .segments import SegmentedImprints
+from .segments import SegmentedImprints, SegmentImprint
 
 PathLike = Union[str, Path]
-
-_MAGIC = b"RIMP"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHHQQ")
 
 _MAGIC_SEG = b"RIMS"
 _VERSION_SEG_V2 = 2
@@ -107,76 +92,6 @@ def _unframe(raw: bytes, pos: int) -> Tuple[NDArray[Any], int]:
     if len(data) != n or n % max(dtype.itemsize, 1):
         raise ImprintPersistError("truncated imprint array")
     return np.frombuffer(data, dtype=dtype), pos + n
-
-
-def save_imprint(imprint: ColumnImprints, path: PathLike) -> int:
-    """Persist a built imprint; returns bytes written."""
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, imprint.vpc, imprint.n_rows, imprint.n_lines
-    )
-    payload = b"".join(
-        [
-            _frame(np.asarray(imprint.scheme.borders, dtype=np.float64)),
-            _frame(imprint.cdict.counters),
-            _frame(imprint.cdict.repeats),
-            _frame(imprint.cdict.vectors),
-        ]
-    )
-    return durable.atomic_write_bytes(path, header + payload, label="imprint")
-
-
-def load_imprint(column: Column, path: PathLike) -> ColumnImprints:
-    """Restore an imprint over its column.
-
-    The stored snapshot length must not exceed the column; a longer column
-    simply leaves the imprint ``stale`` (the manager will rebuild), but a
-    *shorter* column means the file belongs to different data and is
-    rejected.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise ImprintPersistError(f"no imprint file at {path}") from None
-    if len(raw) < _HEADER.size:
-        raise ImprintPersistError(f"{path}: truncated header")
-    magic, version, vpc, n_rows, n_lines = _HEADER.unpack(raw[: _HEADER.size])
-    if magic != _MAGIC:
-        raise ImprintPersistError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
-        raise ImprintPersistError(f"{path}: unsupported version {version}")
-    if n_rows > len(column):
-        raise ImprintPersistError(
-            f"{path}: imprint indexes {n_rows} rows but column "
-            f"{column.name!r} holds only {len(column)}"
-        )
-
-    pos = _HEADER.size
-    borders, pos = _unframe(raw, pos)
-    counters, pos = _unframe(raw, pos)
-    repeats, pos = _unframe(raw, pos)
-    vectors, pos = _unframe(raw, pos)
-
-    imprint = ColumnImprints.__new__(ColumnImprints)
-    imprint.column = column
-    imprint.vpc = int(vpc)
-    imprint.n_rows = int(n_rows)
-    imprint.scheme = BinScheme(borders=borders.astype(np.float64))
-    imprint.cdict = CachelineDict(
-        counters=counters.astype(np.int64),
-        repeats=repeats.astype(bool),
-        vectors=vectors.astype(np.uint64),
-        n_lines=int(n_lines),
-    )
-    imprint._coverage = imprint.cdict.coverage()
-    if int(imprint._coverage.sum() if imprint._coverage.shape[0] else 0) != int(
-        n_lines
-    ):
-        raise ImprintPersistError(f"{path}: dictionary does not cover {n_lines} lines")
-    return imprint
-
-
-# -- segmented (v2) -------------------------------------------------------------
 
 
 def _frame_str(text: str) -> bytes:
@@ -232,7 +147,7 @@ def _seg_crc_ok(raw: bytes, offset: int, crc: Optional[int]) -> bool:
 
 
 def save_segmented(
-    imprint: "SegmentedImprints", table_name: str, column_name: str, path: PathLike
+    imprint: SegmentedImprints, table_name: str, column_name: str, path: PathLike
 ) -> int:
     """Persist a :class:`SegmentedImprints`; returns bytes written.
 
@@ -310,9 +225,9 @@ def looks_like_segmented(path: PathLike) -> bool:
 
 
 def read_segmented_key(path: PathLike) -> Tuple[str, str]:
-    """The ``(table_name, column_name)`` key of a v2 imprint file.
+    """The ``(table_name, column_name)`` key of a segmented imprint file.
 
-    Raises :class:`ImprintPersistError` for v1 or foreign files.
+    Raises :class:`ImprintPersistError` for flat (v1) or foreign files.
     """
     path = Path(path)
     try:
@@ -326,16 +241,13 @@ def read_segmented_key(path: PathLike) -> Tuple[str, str]:
     return table_name, column_name
 
 
-def load_segmented(column: Column, path: PathLike) -> "SegmentedImprints":
+def load_segmented(column: Column, path: PathLike) -> SegmentedImprints:
     """Restore a :class:`SegmentedImprints` over its column.
 
-    Same staleness contract as :func:`load_imprint`: a grown column loads
-    as a stale index (the manager extends it), a shorter column is
-    rejected as foreign data.
+    The stored snapshot length must not exceed the column: a grown
+    column loads as a stale index (the manager extends it), a shorter
+    column is rejected as foreign data.
     """
-    from .dictionary import CachelineDict as _CachelineDict
-    from .segments import SegmentImprint, SegmentedImprints
-
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -368,7 +280,7 @@ def load_segmented(column: Column, path: PathLike) -> "SegmentedImprints":
         vectors, pos = _unframe(raw, pos)
         if minmax.shape[0] != 2 or start != covered or stop <= start:
             raise ImprintPersistError(f"{path}: inconsistent segment spans")
-        cdict = _CachelineDict(
+        cdict = CachelineDict(
             counters=counters.astype(np.int64),
             repeats=repeats.astype(bool),
             vectors=vectors.astype(np.uint64),

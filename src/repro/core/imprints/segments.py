@@ -1,30 +1,39 @@
-"""Segmented column imprints: zone maps + per-segment imprint vectors.
+"""Column imprints: zone maps + per-segment imprint vectors.
 
-The flat :class:`~.index.ColumnImprints` indexes a column as one unit, so
-every append forces an O(n) rebuild and every probe walks the whole
-vector sequence single-threaded.  :class:`SegmentedImprints` cuts the
-column into fixed-size, cacheline-aligned **segments** and gives each one
+The column imprints index of the SIGMOD'13 / paper design composes three
+pieces — a :class:`~.histogram.BinScheme`, per-cacheline 64-bit vectors,
+and the ``(counter, repeat)`` cacheline dictionary.  Query evaluation
+follows the paper: build the 64-bit *query mask* of bins intersecting
+``[lo, hi]``, AND it against each stored imprint vector (each tested
+once, however many cache lines it covers), expand the matching vectors
+to candidate cache lines, and run the exact range predicate only over
+those lines — "limit data access, and thus minimise memory traffic".
+
+:class:`SegmentedImprints` cuts the column into fixed-size,
+cacheline-aligned **segments** and gives each one
 
 * a ``(min, max)`` **zone map** — queries skip a segment (or accept it
   wholesale) without touching its imprint or its data, and
 * its own bin scheme + imprint vectors + cacheline dictionary, built from
   that segment's values only.
 
-Segments are the unit of everything the engine wants to scale:
+A single segment (``segment_rows=len(column)``) is the flat, whole-column
+imprint.  Segments are the unit of everything the engine wants to scale:
 
 * **build** — segments are independent, so the first range query fans the
   imprint construction out across the worker pool;
 * **append** — new rows only ever create (or complete) trailing segments;
   the existing ones are immutable, so ``extend`` is O(appended), not O(n);
-* **probe** — each segment's probe + exact verification is a morsel that a
-  worker can run in isolation, and per-segment results concatenate in
-  segment order into the usual sorted candidate list.
+* **probe** — each segment's probe + exact verification is a morsel of
+  the segmented-scan driver (:mod:`repro.engine.scan`), and per-segment
+  results concatenate in segment order into the usual sorted candidate
+  list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,12 +41,10 @@ from numpy.typing import NDArray
 from ...engine.column import Column
 from ...engine.kernels import ZONE_FULL, ZONE_PROBE, ZONE_SKIP, zone_verdict
 from ...engine.parallel import run_tasks
-from ...obs import heat as _heat
+from ...engine.scan import Probe, ScanStats, scan_segments
 from ...obs import queries as _queries
-from ...obs import resources
 from . import bitvec, dictionary
 from .histogram import DEFAULT_SAMPLE, MAX_BINS, BinScheme, build_bins
-from .index import ImprintStats
 
 #: Default segment length in rows.  A multiple of 64 so it is aligned to
 #: whole cache lines for every supported dtype (vpc is a power of two
@@ -45,16 +52,33 @@ from .index import ImprintStats
 #: Python overhead stays far below the numpy kernels it wraps.
 DEFAULT_SEGMENT_ROWS = 64 * 1024
 
-#: Zone-map verdicts — shared with the compressed-execution kernels so
-#: segment pruning has exactly one algebra (:mod:`repro.engine.kernels`).
-_SKIP, _FULL, _PROBE = ZONE_SKIP, ZONE_FULL, ZONE_PROBE
 
-#: Test-injection point: called with each segment just before its probe
-#: runs.  The live-introspection tests install a sleeping hook here to
-#: make scans slow enough to watch ``/debug/queries`` progress tick and
-#: to land deadline checks mid-scan.  ``None`` (production) costs one
-#: read per probe.
-probe_hook: Optional[Callable[["SegmentImprint"], None]] = None
+@dataclass(frozen=True)
+class ImprintStats:
+    """Size and shape diagnostics for one imprint (E2/E4 benches)."""
+
+    n_rows: int
+    n_lines: int
+    n_bins: int
+    n_entries: int
+    n_vectors: int
+    index_bytes: int
+    column_bytes: int
+
+    @property
+    def overhead(self) -> float:
+        """Index bytes as a fraction of the indexed column bytes — the
+        quantity the paper reports as "5-12% storage overhead"."""
+        return (
+            self.index_bytes / self.column_bytes if self.column_bytes else 0.0
+        )
+
+    @property
+    def dict_compression(self) -> float:
+        """Uncompressed per-line vectors bytes / stored dictionary bytes."""
+        raw = 8 * self.n_lines
+        dict_bytes = 4 * self.n_entries + 8 * self.n_vectors
+        return raw / dict_bytes if dict_bytes else float("inf")
 
 
 @dataclass
@@ -62,9 +86,8 @@ class SegmentImprint:
     """One immutable segment of a segmented imprints index.
 
     ``start``/``stop`` are row positions in the column; ``zmin``/``zmax``
-    the segment's value range (the zone map); the rest is exactly the
-    per-column state of :class:`~.index.ColumnImprints`, scoped to the
-    segment's rows.
+    the segment's value range (the zone map); the rest is the segment's
+    bin scheme, cacheline dictionary and per-vector line coverage.
     """
 
     start: int
@@ -127,10 +150,10 @@ def build_segment(
 class SegmentedImprints:
     """A segmented imprints index over a snapshot of one column.
 
-    Drop-in successor to :class:`~.index.ColumnImprints` behind the
-    :class:`~.manager.ImprintsManager`: same exact-query contract (sorted
-    oids over the indexed prefix), plus segment-granular builds, appends
-    and parallel probes.
+    ``query`` returns the exact sorted oids over the indexed prefix, the
+    candidate-list contract of the engine's select operators; builds,
+    appends and probes are segment-granular.  The
+    :class:`~.manager.ImprintsManager` builds these lazily.
 
     Parameters
     ----------
@@ -142,8 +165,15 @@ class SegmentedImprints:
     threads:
         Worker count for the initial build (``None`` = engine default,
         ``1`` = serial).
-    max_bins, cacheline_bytes, sample_size, max_counter:
-        Per-segment build parameters, as for :class:`ColumnImprints`.
+    max_bins:
+        Per-segment bin budget, at most 64.
+    cacheline_bytes:
+        Modelled cache line size; with the column's itemsize this sets the
+        vector granularity (8 doubles per 64-byte line by default).
+    sample_size:
+        Sample used to derive each segment's bins.
+    max_counter:
+        Dictionary counter cap (24-bit in MonetDB).
     """
 
     def __init__(
@@ -294,23 +324,6 @@ class SegmentedImprints:
 
     # -- query -----------------------------------------------------------------
 
-    def _classify(
-        self,
-        seg: SegmentImprint,
-        lo: Optional[Any],
-        hi: Optional[Any],
-        lo_inc: bool,
-        hi_inc: bool,
-    ) -> int:
-        """Zone-map verdict for one segment (skip / accept whole / probe).
-
-        Delegates to the shared :func:`~repro.engine.kernels.zone_verdict`
-        so imprints and compressed scans prune with identical algebra.
-        NaN zone maps compare false everywhere and land on PROBE, so NaN
-        data costs time, never correctness.
-        """
-        return zone_verdict(seg.zmin, seg.zmax, lo, hi, lo_inc, hi_inc)
-
     def _candidate_lines(self, seg: SegmentImprint, lo: Optional[Any], hi: Optional[Any]) -> NDArray[Any]:
         """Local candidate-line indices for one probed segment."""
         mask = seg.scheme.range_mask(lo, hi)
@@ -369,92 +382,33 @@ class SegmentedImprints:
         lo_inclusive: bool = True,
         hi_inclusive: bool = True,
         threads: Optional[int] = None,
-        stats: Optional[Any] = None,
-    ) -> NDArray[Any]:
+        stats: Optional[ScanStats] = None,
+    ) -> NDArray[np.int64]:
         """Exact range select over the indexed prefix, sorted oids.
 
         Zone maps first: disjoint segments are skipped and fully-covered
         segments accepted wholesale, both without touching data.  Only the
         straddling segments pay an imprint probe + exact verification, and
-        those probes fan out over ``threads`` workers.  ``stats`` (any
-        object with ``n_segments_skipped`` / ``n_segments_probed``
-        counters, e.g. :class:`~..query.QueryStats`) receives the zone-map
-        accounting.
+        those probes fan out over ``threads`` workers through the
+        segmented-scan driver, which fills ``stats``.
         """
         values = np.asarray(self.column.values)
+        itemsize = int(values.itemsize)
         verdicts = [
-            self._classify(seg, lo, hi, lo_inclusive, hi_inclusive)
+            zone_verdict(seg.zmin, seg.zmax, lo, hi, lo_inclusive, hi_inclusive)
             for seg in self.segments
         ]
-        probe_segments = [
-            seg for seg, v in zip(self.segments, verdicts) if v == _PROBE
-        ]
-        if stats is not None:
-            stats.n_segments_probed += len(probe_segments)
-            stats.n_segments_skipped += len(verdicts) - len(probe_segments)
-        active = _queries.current_query()
-        if active is not None:
-            # Live progress: the denominator is every segment of this
-            # scan; zone-map skips and wholesale accepts complete
-            # instantly, probes tick one-by-one as they finish below.
-            active.add_segments(
-                total=len(verdicts), done=len(verdicts) - len(probe_segments)
-            )
-        tracker = resources.current()
-        if tracker is not None and probe_segments:
-            # Only probed segments' data is read; zone-map skips and
-            # wholesale accepts cost zero data access (the paper's point),
-            # and the attribution reflects that.
-            probe_rows = sum(seg.stop - seg.start for seg in probe_segments)
-            tracker.add_touched(
-                rows=int(probe_rows),
-                nbytes=int(probe_rows * values.itemsize),
-            )
-            tracker.add_scan_bytes(
-                materialized=int(probe_rows * values.itemsize)
-            )
-        heat = _heat.maybe_heat()
-        if heat is not None:
-            # Imprint probes read decoded values, so the probed bytes are
-            # all materialized; one batched update per scan.
-            itemsize = int(values.itemsize)
-            heat.record_scan(
-                self.column.name,
-                probed=[
-                    (i, 0, (seg.stop - seg.start) * itemsize)
-                    for i, (seg, v) in enumerate(
-                        zip(self.segments, verdicts)
-                    )
-                    if v == _PROBE
-                ],
-                skipped=[i for i, v in enumerate(verdicts) if v == _SKIP],
-                full=[i for i, v in enumerate(verdicts) if v == _FULL],
-            )
-        hook = probe_hook
 
-        def probe_one(seg: SegmentImprint) -> NDArray[Any]:
-            if active is not None:
-                active.check_deadline()
-            if hook is not None:
-                hook(seg)
-            piece = self._probe(values, seg, lo, hi, lo_inclusive, hi_inclusive)
-            if active is not None:
-                active.add_segments(done=1)
-            return piece
+        def probe(i: int) -> Probe:
+            # Imprint probes verify decoded values: all bytes materialized.
+            seg = self.segments[i]
+            oids = self._probe(values, seg, lo, hi, lo_inclusive, hi_inclusive)
+            return oids, seg.n_rows * itemsize, False
 
-        probed = run_tasks(probe_one, probe_segments, threads=threads)
-        probed_iter = iter(probed)
-        pieces: List[NDArray[Any]] = []
-        for seg, verdict in zip(self.segments, verdicts):
-            if verdict == _FULL:
-                pieces.append(np.arange(seg.start, seg.stop, dtype=np.int64))
-            elif verdict == _PROBE:
-                piece = next(probed_iter)
-                if piece.shape[0]:
-                    pieces.append(piece)
-        if not pieces:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        bounds = [(seg.start, seg.stop) for seg in self.segments]
+        return scan_segments(
+            self.column.name, bounds, verdicts, probe, threads, stats
+        )
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -463,10 +417,10 @@ class SegmentedImprints:
         pieces: List[NDArray[Any]] = []
         for seg in self.segments:
             _queries.check_deadline()
-            verdict = self._classify(seg, lo, hi, True, True)
-            if verdict == _SKIP:
+            verdict = zone_verdict(seg.zmin, seg.zmax, lo, hi)
+            if verdict == ZONE_SKIP:
                 continue
-            if verdict == _FULL:
+            if verdict == ZONE_FULL:
                 pieces.append(np.arange(seg.start, seg.stop, dtype=np.int64))
                 continue
             lines = self._candidate_lines(seg, lo, hi)
@@ -492,7 +446,7 @@ class SegmentedImprints:
         touched = 0
         for seg in self.segments:
             _queries.check_deadline()
-            if self._classify(seg, lo, hi, True, True) == _PROBE:
+            if zone_verdict(seg.zmin, seg.zmax, lo, hi) == ZONE_PROBE:
                 touched += int(self._candidate_lines(seg, lo, hi).shape[0])
         return float(touched / total)
 

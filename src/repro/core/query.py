@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..engine.parallel import resolve_threads
+from ..engine.scan import ScanStats
 from ..engine.select import intersect_candidates, mask_select, range_select
 from ..engine.table import Table
 from ..gis.envelope import Box
@@ -72,6 +73,12 @@ class QueryStats:
     #: empty-table fast path) — the id ``/debug/queries``, the slow log
     #: and the flight recorder all report.
     query_id: str = ""
+
+    def add_scan(self, scan: ScanStats) -> None:
+        """Fold one segmented scan's counts in: zone-map skips and
+        wholesale accepts both count as skipped segments."""
+        self.n_segments_skipped += scan.segments_skipped + scan.segments_full
+        self.n_segments_probed += scan.segments_probed
 
     @property
     def total_seconds(self) -> float:

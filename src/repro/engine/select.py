@@ -25,13 +25,12 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from ..obs import heat as _heat
-from ..obs import resources
 from ..obs.metrics import get_registry
 from ..obs.trace import maybe_span
 from . import parallel
 from .column import Column
-from .compressed import CompressedColumn, ScanStats
+from .compressed import CompressedColumn
+from .scan import ScanStats, credit_scan
 
 #: Comparison operators accepted by :func:`theta_select`.
 _THETA_OPS: Dict[str, Callable[[NDArray[Any], object], NDArray[Any]]] = {
@@ -53,25 +52,15 @@ def _as_candidates(mask: NDArray[Any], candidates: Optional[NDArray[Any]]) -> ND
 
 
 def _account_touched(column: Column, vals: NDArray[Any]) -> None:
-    """Credit a scan's actual data volume to the active resource tracker.
+    """Credit a plain scan's actual data volume (tracker and heat).
 
     Post-candidate-list, so an imprint-filtered select reports the small
-    read the index earned it, not the column size.  One thread-local
-    read when no tracker is open.
+    read the index earned it, not the column size.  Plain scans
+    materialize everything they touch, and an unsegmented scan is heat's
+    whole-column pseudo-segment ``-1``.
     """
-    tracker = resources.current()
-    if tracker is not None:
-        tracker.add_touched(
-            rows=int(vals.shape[0]), nbytes=int(vals.nbytes)
-        )
-        # Plain scans materialize everything they touch.
-        tracker.add_scan_bytes(materialized=int(vals.nbytes))
-    heat = _heat.maybe_heat()
-    if heat is not None:
-        # An unsegmented plain scan: heat's whole-column pseudo-segment.
-        heat.record_scan(
-            column.name, probed=[(-1, 0, int(vals.nbytes))]
-        )
+    nbytes = int(vals.nbytes)
+    credit_scan(column.name, int(vals.shape[0]), 0, nbytes, [(-1, 0, nbytes)])
 
 
 def _numeric_bound(bound: object) -> bool:
@@ -93,19 +82,10 @@ def _packed_for(
 
 
 def _account_packed(packed: CompressedColumn, stats: ScanStats, span: Any) -> None:
-    """Credit a packed select: probed rows and the bytes actually moved
-    (encoded payloads for packed probes, decoded arrays for fallbacks).
-    Zone-map skips and wholesale accepts cost zero bytes, same as the
-    imprint accounting."""
-    tracker = resources.current()
-    touched = stats.encoded_bytes + stats.materialized_bytes
-    if tracker is not None and stats.rows_in:
-        tracker.add_touched(rows=int(stats.rows_in), nbytes=int(touched))
-        tracker.add_scan_bytes(
-            encoded=int(stats.encoded_bytes),
-            materialized=int(stats.materialized_bytes),
-        )
-    saved = packed.plain_nbytes - touched
+    """Report a packed select on its span, and count the plain bytes
+    its zone maps and packed probes did not have to move (the scan
+    driver already credited the bytes it did move)."""
+    saved = packed.plain_nbytes - stats.encoded_bytes - stats.materialized_bytes
     if saved > 0:
         get_registry().counter("compression.materialized_bytes_saved").inc(saved)
     span.set(
@@ -189,6 +169,7 @@ def range_select(
     hi_inclusive: bool = True,
     candidates: Optional[NDArray[Any]] = None,
     threads: Optional[int] = None,
+    stats: Optional[ScanStats] = None,
 ) -> NDArray[Any]:
     """Rows with ``lo <(=) column <(=) hi`` as a sorted oid array.
 
@@ -196,12 +177,14 @@ def range_select(
     equivalent of an imprints probe and is used both as the fallback path
     and as the exactness reference in tests.  ``threads`` splits the scan
     into morsels across the worker pool (``1`` = the exact serial path);
-    the reassembled result is identical either way.
+    the reassembled result is identical either way.  A fresh ``stats``
+    receives the segment accounting when the select runs on the packed
+    segments (a plain scan leaves it untouched).
     """
     with maybe_span("select.range", column=column.name) as span:
         packed = _packed_for(column, candidates, lo, hi)
         if packed is not None:
-            stats = ScanStats()
+            stats = stats if stats is not None else ScanStats()
             result = packed.range_select(
                 lo, hi, lo_inclusive, hi_inclusive, threads=threads, stats=stats
             )

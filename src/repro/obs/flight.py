@@ -20,7 +20,8 @@ runs, so tracebacks still print) and, on the main thread, arms a
 ``SIGTERM`` handler that dumps and then re-raises the default action —
 the process still dies, it just leaves a black box behind.  Dumps are
 written with the durable atomic-write protocol to ``REPRO_FLIGHT_DIR``
-(default: the current directory) as ``flight-<pid>-<ts>.json``.
+(default: the system temporary directory, so a crash never litters the
+working tree) as ``flight-<pid>-<ts>.json``.
 
 The steady-state cost is one deque append per ``note()``; nothing is
 serialised until the process is already dying.
@@ -32,6 +33,7 @@ import json
 import os
 import signal
 import sys
+import tempfile
 import threading
 import time
 import traceback
@@ -60,9 +62,9 @@ ExceptHook = Callable[
 
 
 def flight_directory() -> Path:
-    """Where dumps go: ``REPRO_FLIGHT_DIR`` or the working directory."""
+    """Where dumps go: ``REPRO_FLIGHT_DIR`` or the temporary directory."""
     raw = os.environ.get(FLIGHT_DIR_ENV, "").strip()
-    return Path(raw) if raw else Path(".")
+    return Path(raw) if raw else Path(tempfile.gettempdir())
 
 
 class FlightRecorder:

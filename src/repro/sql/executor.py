@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.imprints import ImprintsManager
-from ..core.query import SpatialSelect
+from ..core.query import QueryStats, SpatialSelect
+from ..engine.scan import ScanStats
 from ..engine.select import range_select as engine_range_select
 from ..engine.table import Table
 from ..gis.geometry import Geometry
@@ -619,17 +620,6 @@ def _match_range(
     return None
 
 
-class _ProbeStats:
-    """Zone-map accounting sink for a SQL-pushed imprint probe."""
-
-    __slots__ = ("n_segments_skipped", "n_segments_probed", "imprint_build_seconds")
-
-    def __init__(self) -> None:
-        self.n_segments_skipped = 0
-        self.n_segments_probed = 0
-        self.imprint_build_seconds = 0.0
-
-
 def _range_via_packed(relation: Relation, name: str) -> bool:
     """Serve a pushed range from the column's packed segments?
 
@@ -729,15 +719,20 @@ def _filter_relation_inner(
             with maybe_span(
                 "filter.range", column=name, expr=_describe_expr(conjunct)
             ) as range_span:
+                stats = QueryStats()
                 if _range_via_packed(relation, name):
+                    scan = ScanStats()
                     candidates = engine_range_select(
-                        relation.table.column(name), lo, hi, lo_inc, hi_inc
+                        relation.table.column(name),
+                        lo,
+                        hi,
+                        lo_inc,
+                        hi_inc,
+                        stats=scan,
                     )
-                    range_span.set(
-                        rows_out=int(candidates.shape[0]), access="packed"
-                    )
+                    stats.add_scan(scan)
+                    range_span.set(access="packed")
                 else:
-                    probe_stats = _ProbeStats()
                     candidates = relation.manager.range_select(
                         relation.table,
                         name,
@@ -745,13 +740,13 @@ def _filter_relation_inner(
                         hi,
                         lo_inc,
                         hi_inc,
-                        stats=probe_stats,
+                        stats=stats,
                     )
-                    range_span.set(
-                        rows_out=int(candidates.shape[0]),
-                        segments_skipped=probe_stats.n_segments_skipped,
-                        segments_probed=probe_stats.n_segments_probed,
-                    )
+                range_span.set(
+                    rows_out=int(candidates.shape[0]),
+                    segments_skipped=stats.n_segments_skipped,
+                    segments_probed=stats.n_segments_probed,
+                )
             del residual[position]
             break
 

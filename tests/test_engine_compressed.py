@@ -9,6 +9,7 @@ scan stats prove it skipped what the zone maps let it skip.
 import numpy as np
 import pytest
 
+from repro.core.imprints import SegmentedImprints
 from repro.engine.column import Column
 from repro.engine.compressed import CompressedColumn, ScanStats
 from repro.engine.select import range_select, theta_select
@@ -225,3 +226,106 @@ class TestTableCompression:
         report = table.compression_report()
         assert set(report) == {"v", "cls"}
         assert report["v"]["nbytes"] < report["v"]["plain_nbytes"]
+
+
+def _adversarial_values():
+    """Data shapes that stress zone maps, bins and segment borders."""
+    rng = np.random.default_rng(41)
+    i64 = np.iinfo(np.int64)
+    nan = rng.normal(size=70_000)
+    nan[rng.choice(70_000, 700, replace=False)] = np.nan
+    inf = rng.normal(size=70_000)
+    inf[rng.choice(70_000, 200, replace=False)] = np.inf
+    inf[rng.choice(70_000, 200, replace=False)] = -np.inf
+    extremes = rng.integers(-1000, 1000, 70_000)
+    extremes[rng.choice(70_000, 50, replace=False)] = i64.max
+    extremes[rng.choice(70_000, 50, replace=False)] = i64.min
+    return {
+        "nan": nan,
+        "inf": inf,
+        "int64_extremes": extremes.astype(np.int64),
+        "duplicates": rng.integers(0, 4, 70_000).astype(np.int64),
+        "constant": np.full(70_000, 7.5),
+        "len_65535": rng.normal(size=65_535),
+        "len_65536": rng.normal(size=65_536),
+        "len_65537": rng.normal(size=65_537),
+        "appended": rng.uniform(0, 100, 70_000),
+    }
+
+
+ADVERSARIAL = _adversarial_values()
+
+
+def _bounds(values):
+    """Range predicates drawn from the data: inner, exclusive, half-open,
+    covering and disjoint."""
+    finite = np.sort(values[np.isfinite(values)])
+    q = [finite[int(f * (finite.shape[0] - 1))].item() for f in (0, 0.25, 0.5, 0.75, 1)]
+    return [
+        (q[1], q[3], True, True),
+        (q[1], q[3], False, False),
+        (None, q[2], True, False),
+        (q[2], None, False, True),
+        (q[0], q[4], True, True),
+        (None, None, True, True),
+        (q[4], None, False, True),
+    ]
+
+
+class TestSegmentedScanParity:
+    """Every entry point of the segmented-scan driver equals the plain
+    numpy select on adversarial data, serial and parallel."""
+
+    @pytest.fixture(params=sorted(ADVERSARIAL))
+    def column(self, request):
+        values = ADVERSARIAL[request.param]
+        col = Column("v", values.dtype)
+        if request.param == "appended":
+            # Index a prefix, then append: the imprint extends lazily
+            # and the packed mirror is re-encoded after the append.
+            col.append(values[:50_000])
+            imprint = SegmentedImprints(col)
+            col.append(values[50_000:])
+            imprint.extend()
+        else:
+            col.append(values)
+            imprint = SegmentedImprints(col)
+        return col, imprint
+
+    @staticmethod
+    def plain(col, op, lo, hi, lo_inc=True, hi_inc=True):
+        assert col.packed is None
+        if op is None:
+            return range_select(col, lo, hi, lo_inc, hi_inc)
+        return theta_select(col, op, lo)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_imprint_query(self, column, threads):
+        col, imprint = column
+        for lo, hi, lo_inc, hi_inc in _bounds(col.values):
+            np.testing.assert_array_equal(
+                imprint.query(lo, hi, lo_inc, hi_inc, threads=threads),
+                self.plain(col, None, lo, hi, lo_inc, hi_inc),
+            )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_packed_range_select(self, column, threads):
+        col, _ = column
+        packed = CompressedColumn.from_values("v", col.values)
+        for lo, hi, lo_inc, hi_inc in _bounds(col.values):
+            np.testing.assert_array_equal(
+                packed.range_select(lo, hi, lo_inc, hi_inc, threads=threads),
+                self.plain(col, None, lo, hi, lo_inc, hi_inc),
+            )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("op", THETA_OPS)
+    def test_packed_theta_select(self, column, op, threads):
+        col, _ = column
+        packed = CompressedColumn.from_values("v", col.values)
+        constants = {lo for lo, *_ in _bounds(col.values) if lo is not None}
+        for constant in sorted(constants):
+            np.testing.assert_array_equal(
+                packed.theta_select(op, constant, threads=threads),
+                self.plain(col, op, constant, None),
+            )

@@ -1,11 +1,15 @@
-"""Unit and property tests for the ColumnImprints index and its manager."""
+"""Unit and property tests for the whole-column imprint and its manager.
+
+A :class:`SegmentedImprints` with one segment spanning the column is the
+flat imprint of the paper; these tests pin that case down.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.imprints import ColumnImprints, ImprintsManager
+from repro.core.imprints import ImprintsManager, SegmentedImprints
 from repro.engine.column import Column
 from repro.engine.select import range_select
 from repro.engine.table import Table
@@ -15,27 +19,32 @@ def make_column(values, dtype=np.float64):
     return Column("v", np.dtype(dtype), data=np.asarray(values, dtype=dtype))
 
 
+def flat_imprint(column, **kwargs):
+    """One segment over the whole column: the flat imprint."""
+    return SegmentedImprints(column, segment_rows=max(len(column), 1), **kwargs)
+
+
 class TestBuild:
     def test_empty_column_raises(self):
         with pytest.raises(ValueError):
-            ColumnImprints(Column("v", "float64"))
+            flat_imprint(Column("v", "float64"))
 
     def test_vpc_from_dtype(self):
-        imp = ColumnImprints(make_column(np.arange(100)))
+        imp = flat_imprint(make_column(np.arange(100)))
         assert imp.vpc == 8  # 64-byte lines / 8-byte doubles
-        imp16 = ColumnImprints(make_column(np.arange(100), dtype=np.uint16))
+        imp16 = flat_imprint(make_column(np.arange(100), dtype=np.uint16))
         assert imp16.vpc == 32
 
     def test_line_count(self):
-        imp = ColumnImprints(make_column(np.arange(100)))
+        imp = flat_imprint(make_column(np.arange(100)))
         assert imp.n_lines == 13  # ceil(100 / 8)
 
     def test_custom_cacheline(self):
-        imp = ColumnImprints(make_column(np.arange(64)), cacheline_bytes=128)
+        imp = flat_imprint(make_column(np.arange(64)), cacheline_bytes=128)
         assert imp.vpc == 16
 
     def test_stats_accounting(self):
-        imp = ColumnImprints(make_column(np.arange(10_000)))
+        imp = flat_imprint(make_column(np.arange(10_000)))
         s = imp.stats()
         assert s.n_rows == 10_000
         assert s.column_bytes == 80_000
@@ -46,7 +55,7 @@ class TestBuild:
 class TestQuery:
     def test_matches_scan_on_sorted(self):
         col = make_column(np.arange(5000))
-        imp = ColumnImprints(col)
+        imp = flat_imprint(col)
         got = imp.query(1000, 2000)
         np.testing.assert_array_equal(got, range_select(col, 1000, 2000))
 
@@ -55,44 +64,44 @@ class TestQuery:
         vals = np.arange(5000, dtype=np.float64)
         rng.shuffle(vals)
         col = make_column(vals)
-        imp = ColumnImprints(col)
+        imp = flat_imprint(col)
         np.testing.assert_array_equal(
             imp.query(1000, 2000), range_select(col, 1000, 2000)
         )
 
     def test_exclusive_bounds(self):
         col = make_column(np.arange(100))
-        imp = ColumnImprints(col)
+        imp = flat_imprint(col)
         np.testing.assert_array_equal(
             imp.query(10, 12, lo_inclusive=False, hi_inclusive=False), [11]
         )
 
     def test_half_open(self):
         col = make_column(np.arange(100))
-        imp = ColumnImprints(col)
+        imp = flat_imprint(col)
         np.testing.assert_array_equal(imp.query(None, 3), [0, 1, 2, 3])
         np.testing.assert_array_equal(imp.query(96, None), [96, 97, 98, 99])
 
     def test_empty_range(self):
-        imp = ColumnImprints(make_column(np.arange(100)))
+        imp = flat_imprint(make_column(np.arange(100)))
         assert imp.query(1000, 2000).shape == (0,)
 
     def test_candidates_superset_of_exact(self):
         rng = np.random.default_rng(4)
         col = make_column(rng.normal(size=3000))
-        imp = ColumnImprints(col)
+        imp = flat_imprint(col)
         exact = imp.query(-0.5, 0.5)
         cands = imp.candidate_rows(-0.5, 0.5)
         assert np.isin(exact, cands).all()
 
     def test_scanned_fraction_small_on_sorted(self):
-        imp = ColumnImprints(make_column(np.arange(100_000)))
+        imp = flat_imprint(make_column(np.arange(100_000)))
         # A 1% range over sorted data touches a small sliver of lines.
         assert imp.scanned_fraction(0, 1000) < 0.05
 
     def test_false_positive_rate_bounds(self):
         rng = np.random.default_rng(5)
-        imp = ColumnImprints(make_column(rng.normal(size=10_000)))
+        imp = flat_imprint(make_column(rng.normal(size=10_000)))
         fpr = imp.false_positive_rate(-0.1, 0.1)
         assert 0.0 <= fpr <= 1.0
 
@@ -100,7 +109,7 @@ class TestQuery:
 class TestStaleness:
     def test_stale_after_append(self):
         col = make_column(np.arange(100))
-        imp = ColumnImprints(col)
+        imp = flat_imprint(col)
         assert not imp.stale
         col.append([1.0])
         assert imp.stale
@@ -178,7 +187,7 @@ def test_imprint_query_equals_scan(values, lo, span, max_bins, cacheline):
     """THE correctness invariant: imprint select == full-scan select,
     for arbitrary data, bin budgets and cacheline sizes."""
     col = make_column(values)
-    imp = ColumnImprints(col, max_bins=max_bins, cacheline_bytes=cacheline)
+    imp = flat_imprint(col, max_bins=max_bins, cacheline_bytes=cacheline)
     hi = lo + span
     np.testing.assert_array_equal(imp.query(lo, hi), range_select(col, lo, hi))
 
@@ -191,7 +200,7 @@ def test_imprint_query_equals_scan(values, lo, span, max_bins, cacheline):
 )
 def test_imprint_no_false_negatives_on_ints(values, lo, span):
     col = make_column(values, dtype=np.int64)
-    imp = ColumnImprints(col)
+    imp = flat_imprint(col)
     hi = lo + span
     exact = set(range_select(col, lo, hi).tolist())
     cands = set(imp.candidate_rows(lo, hi).tolist())

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.imprints import ImprintsManager, SegmentedImprints
 from repro.core.imprints.persist import save_segmented, load_segmented
 from repro.engine.column import Column
+from repro.engine.scan import ScanStats
 from repro.engine.select import range_select
 from repro.engine.table import Table
 
@@ -114,27 +115,18 @@ class TestZoneMapSkips:
     def test_disjoint_segments_skipped(self):
         # Sorted data: a narrow range hits exactly one segment.
         imp = SegmentedImprints(make_column(np.arange(40_960)), segment_rows=4096)
-
-        class Counters:
-            n_segments_skipped = 0
-            n_segments_probed = 0
-
-        c = Counters()
+        c = ScanStats()
         imp.query(10_000, 10_100, stats=c)
-        assert c.n_segments_probed == 1
-        assert c.n_segments_skipped == imp.n_segments - 1
+        assert c.segments_probed == 1
+        assert c.segments_skipped == imp.n_segments - 1
+        assert c.segments_full == 0
 
     def test_covering_range_skips_all_probes(self):
         imp = SegmentedImprints(make_column(np.arange(40_960)), segment_rows=4096)
-
-        class Counters:
-            n_segments_skipped = 0
-            n_segments_probed = 0
-
-        c = Counters()
+        c = ScanStats()
         out = imp.query(None, None, stats=c)
-        assert c.n_segments_probed == 0
-        assert c.n_segments_skipped == imp.n_segments
+        assert c.segments_probed == 0
+        assert c.segments_full == imp.n_segments
         assert out.shape[0] == 40_960
 
     def test_scanned_fraction_counts_probes_only(self):

@@ -10,8 +10,10 @@ import pytest
 
 from repro import Box, PointCloudDB
 from repro.core.imprints import ImprintsManager
-from repro.core.imprints import segments as segments_mod
-from repro.engine import parallel
+from repro.engine import kernels, parallel
+from repro.engine import scan as scan_mod
+from repro.engine.compressed import CompressedColumn
+from repro.engine.scan import ScanStats
 from repro.obs.context import ObsContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.queries import (
@@ -32,11 +34,11 @@ def probe_hook():
     installed = []
 
     def install(hook):
-        segments_mod.probe_hook = hook
+        scan_mod.probe_hook = hook
         installed.append(hook)
 
     yield install
-    segments_mod.probe_hook = None
+    scan_mod.probe_hook = None
 
 
 def make_db(context, n=20_000, segment_rows=2048, seed=7):
@@ -311,6 +313,61 @@ class TestProgress:
         assert any(
             0.0 < p < 1.0 for ps in by_query.values() for p in ps
         ), "never observed a partial progress value"
+
+
+class TestPackedScan:
+    """Packed segment scans run through the same driver as imprint
+    scans, so the probe hook, live progress and deadlines apply."""
+
+    @staticmethod
+    def packed(n=20_000, segment_rows=2048, seed=3):
+        # Sorted first half (zone maps skip most of it for a narrow
+        # range), shuffled second half (every segment must be probed).
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 1000, n)
+        values[: n // 2].sort()
+        return CompressedColumn.from_values("v", values, segment_rows=segment_rows)
+
+    def test_hook_fires_once_per_probe_segment(self, probe_hook):
+        packed = self.packed()
+        seen = []
+        probe_hook(seen.append)
+        stats = ScanStats()
+        packed.range_select(100, 200, threads=1, stats=stats)
+        expected = [
+            i
+            for i, block in enumerate(packed.blocks)
+            if kernels.block_zone_verdict(block, 100, 200) == kernels.ZONE_PROBE
+        ]
+        assert stats.segments_skipped > 0
+        assert seen == expected
+        assert len(seen) == stats.segments_probed
+
+    def test_progress_reaches_total(self, probe_hook):
+        packed = self.packed()
+        registry = QueryRegistry()
+        observed = []
+        probe_hook(lambda i: observed.append(current_query().progress))
+        with registry.track("sql") as query:
+            packed.theta_select("<", 150, threads=1)
+        assert len(observed) > 2
+        assert observed == sorted(observed)
+        assert observed[0] < 1.0
+        record = query.to_dict()
+        assert record["segments_total"] == len(packed.blocks)
+        assert record["segments_done"] == record["segments_total"]
+        assert query.progress == 1.0
+
+    def test_timeout_cancels_a_packed_scan(self, probe_hook):
+        packed = self.packed()
+        registry = QueryRegistry()
+        probe_hook(lambda i: time.sleep(0.02))
+        with pytest.raises(QueryCancelled):
+            with registry.track("sql", timeout_s=0.01):
+                packed.range_select(100, 200, threads=1)
+        (record,) = registry.recent()
+        assert record["status"] == "cancelled"
+        assert record["segments_done"] < record["segments_total"]
 
 
 class TestGlobalRegistry:

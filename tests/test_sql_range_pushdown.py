@@ -205,6 +205,29 @@ class TestPackedPushdown:
         assert "materialized_bytes=" in select_line
         assert "segments_skipped=" in select_line
 
+    def test_range_span_segments_on_both_routes(self, packed_session):
+        """filter.range reports the same segment attributes whether the
+        packed segments or a built imprint served the range."""
+        sql = "SELECT count(*) FROM pts WHERE x BETWEEN 50000 AND 60000"
+
+        def range_attrs():
+            text = packed_session.explain_analyze(sql)
+            line = next(l for l in text.splitlines() if "filter.range" in l)
+            pairs = (tok.split("=", 1) for tok in line.split() if "=" in tok)
+            return {key: value for key, value in pairs}
+
+        packed = range_attrs()
+        assert packed["access"] == "packed"
+        packed_session.manager.ensure(packed_session._raw, "x")
+        imprint = range_attrs()
+        assert "access" not in imprint
+        for attrs, n_segments in ((packed, 10), (imprint, 1)):
+            skipped = int(attrs["segments_skipped"])
+            probed = int(attrs["segments_probed"])
+            assert probed >= 1
+            assert skipped + probed == n_segments
+        assert packed["rows_out"] == imprint["rows_out"]
+
     def test_packed_parity_across_plain_rerun(self, packed_session):
         sql = "SELECT count(*) FROM pts WHERE z > 2000 AND cls = 1"
         packed_count = packed_session.execute(sql).scalar()
