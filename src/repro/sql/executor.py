@@ -10,10 +10,15 @@ interpreter:
   :class:`repro.core.query.SpatialSelect` — i.e. through the column
   imprints filter and grid refinement.  Everything else evaluates as
   vectorised numpy expressions.
-* **Joins** — inner/cross joins materialise the smaller relations and
-  probe the point table per outer row, which is exactly how the Scenario-2
+* **Joins** — inner/cross joins filter the smaller relations and probe
+  the point table per outer row, which is exactly how the Scenario-2
   queries ("LIDAR points near a fast transit road") want to run: one
-  imprints-backed spatial probe per zone.
+  imprints-backed spatial probe per zone.  Every join strategy yields a
+  join index (one row-id array per table binding); column values are
+  gathered late, only for the columns the query references.
+* **Aggregation** — ``GROUP BY`` groups once per statement through
+  :mod:`repro.engine.aggregate` and evaluates every select item as one
+  value per group.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ import numpy as np
 
 from ..core.imprints import ImprintsManager
 from ..core.query import QueryStats, SpatialSelect
+from ..engine.aggregate import Grouping, group_rows
+from ..engine.column import Column
+from ..engine.join import hash_join
 from ..engine.scan import ScanStats
 from ..engine.select import range_select as engine_range_select
 from ..engine.table import Table
@@ -357,37 +365,67 @@ class Session:
 # -- the evaluation frame -----------------------------------------------------------
 
 
+#: Scalar bindings of enclosing nested-loop rows: ``binding -> (columns, row)``.
+_Outer = Dict[str, Tuple[Dict[str, np.ndarray], int]]
+
+
 class _Frame:
-    """Aligned columns addressable as ``binding.column`` or bare name."""
+    """A join-index frame: per binding, the relation's columns and one
+    aligned ``int64`` row-id array.
 
-    def __init__(self, columns: Dict[str, np.ndarray], n_rows: int) -> None:
-        self.columns = columns
+    Values are fetched late: a column is gathered on its first lookup and
+    cached.  ``outer`` holds scalar bindings (one row of an enclosing
+    nested-loop relation).  A bare column name resolves to the one row-id
+    binding that has it, else to the one scalar binding that has it.
+    """
+
+    def __init__(
+        self,
+        bindings: Dict[str, Tuple[Dict[str, np.ndarray], np.ndarray]],
+        n_rows: int,
+        outer: Optional[_Outer] = None,
+    ) -> None:
+        self.bindings = bindings
+        self.outer = outer if outer is not None else {}
         self.n_rows = n_rows
-        # Bare-name resolution: unique suffixes only.
-        suffix_count: Dict[str, int] = {}
-        for key in columns:
-            bare = key.split(".", 1)[1] if "." in key else key
-            suffix_count[bare] = suffix_count.get(bare, 0) + 1
-        self._bare = {
-            key.split(".", 1)[1] if "." in key else key: key
-            for key in columns
-            if suffix_count[key.split(".", 1)[1] if "." in key else key] == 1
-        }
-        self._ambiguous = {k for k, v in suffix_count.items() if v > 1}
+        self._gathered: Dict[Tuple[str, str], object] = {}
 
-    def lookup(self, ref: ast.ColumnRef) -> np.ndarray:
-        if ref.table is not None:
-            key = f"{ref.table}.{ref.name}"
-            if key in self.columns:
-                return self.columns[key]
-            raise SqlExecutionError(f"unknown column {key!r}")
-        if ref.name in self.columns:
-            return self.columns[ref.name]
-        if ref.name in self._ambiguous:
-            raise SqlExecutionError(f"ambiguous column {ref.name!r}")
-        if ref.name in self._bare:
-            return self.columns[self._bare[ref.name]]
-        raise SqlExecutionError(f"unknown column {ref.name!r}")
+    def lookup(self, ref: ast.ColumnRef):
+        binding = ref.table if ref.table is not None else self._owner(ref.name)
+        key = (binding, ref.name)
+        if key not in self._gathered:
+            columns, rows = self.bindings.get(binding) or self.outer.get(
+                binding, ({}, 0)
+            )
+            if ref.name not in columns:
+                raise SqlExecutionError(f"unknown column {ref.qualified!r}")
+            self._gathered[key] = columns[ref.name][rows]
+        return self._gathered[key]
+
+    def _owner(self, name: str) -> str:
+        for level in (self.bindings, self.outer):
+            owners = [b for b, (columns, _) in level.items() if name in columns]
+            if len(owners) > 1:
+                raise SqlExecutionError(f"ambiguous column {name!r}")
+            if owners:
+                return owners[0]
+        raise SqlExecutionError(f"unknown column {name!r}")
+
+    def take(self, mask: np.ndarray) -> "_Frame":
+        """The frame rows where ``mask`` holds (row ids only, no values)."""
+        return _Frame(
+            {b: (cols, rows[mask]) for b, (cols, rows) in self.bindings.items()},
+            n_rows=int(np.count_nonzero(mask)),
+            outer=self.outer,
+        )
+
+    def star(self) -> List[Tuple[str, np.ndarray]]:
+        """Every row-id binding's columns, qualified, in binding order."""
+        return [
+            (f"{binding}.{name}", self.lookup(ast.ColumnRef(name, binding)))
+            for binding, (columns, _) in self.bindings.items()
+            for name in columns
+        ]
 
 
 def _evaluate(node: ast.Node, frame: _Frame):
@@ -397,14 +435,11 @@ def _evaluate(node: ast.Node, frame: _Frame):
     if isinstance(node, ast.ColumnRef):
         return frame.lookup(node)
     if isinstance(node, ast.UnaryOp):
-        value = _evaluate(node.operand, frame)
-        if node.op == "-":
-            return -value if not isinstance(value, np.ndarray) else -value
-        if node.op == "not":
-            return ~_as_bool(value) if isinstance(value, np.ndarray) else not value
-        raise SqlExecutionError(f"unknown unary op {node.op!r}")
+        return _unary(node.op, _evaluate(node.operand, frame))
     if isinstance(node, ast.BinOp):
-        return _eval_binop(node, frame)
+        return _binop(
+            node.op, _evaluate(node.left, frame), _evaluate(node.right, frame)
+        )
     if isinstance(node, ast.Between):
         value = _evaluate(node.expr, frame)
         low = _evaluate(node.low, frame)
@@ -433,10 +468,16 @@ def _evaluate(node: ast.Node, frame: _Frame):
     raise SqlExecutionError(f"cannot evaluate {type(node).__name__}")
 
 
-def _eval_binop(node: ast.BinOp, frame: _Frame):
-    op = node.op
-    left = _evaluate(node.left, frame)
-    right = _evaluate(node.right, frame)
+def _unary(op: str, value):
+    if op == "-":
+        return -value
+    if op == "not":
+        return ~_as_bool(value) if isinstance(value, np.ndarray) else not value
+    raise SqlExecutionError(f"unknown unary op {op!r}")
+
+
+def _binop(op: str, left, right):
+    """One operator over scalars or aligned arrays (element-wise)."""
     if op == "and":
         return _as_bool(left) & _as_bool(right)
     if op == "or":
@@ -470,6 +511,14 @@ def _as_bool(value):
     if isinstance(value, np.ndarray):
         return value.astype(bool)
     return bool(value)
+
+
+def _mask(conjuncts: List[ast.Node], frame: _Frame) -> np.ndarray:
+    """The frame rows satisfying every conjunct."""
+    mask = np.ones(frame.n_rows, dtype=bool)
+    for conjunct in conjuncts:
+        mask &= _as_bool(_evaluate(conjunct, frame))
+    return mask
 
 
 # -- spatial push-down ----------------------------------------------------------------
@@ -642,7 +691,7 @@ def _filter_relation(
     binding: str,
     relation: Relation,
     conjuncts: List[ast.Node],
-    outer: Dict[str, object],
+    outer: _Outer,
 ) -> np.ndarray:
     """Row indices of ``relation`` satisfying the conjuncts.
 
@@ -662,9 +711,9 @@ def _filter_relation_inner(
     binding: str,
     relation: Relation,
     conjuncts: List[ast.Node],
-    outer: Dict[str, object],
+    outer: _Outer,
 ) -> np.ndarray:
-    scalar_frame = _Frame(dict(outer), n_rows=0)
+    scalar_frame = _Frame({}, n_rows=0, outer=outer)
     candidates: Optional[np.ndarray] = None
     residual: List[ast.Node] = []
 
@@ -756,20 +805,12 @@ def _filter_relation_inner(
         return candidates
 
     with maybe_span("filter.residual", conjuncts=len(residual)) as residual_span:
-        columns = {}
-        for key, value in outer.items():
-            columns[key] = value
-        for name, arr in relation.columns.items():
-            columns[f"{binding}.{name}"] = arr[candidates]
-            columns.setdefault(name, arr[candidates])
-        frame = _Frame(columns, n_rows=candidates.shape[0])
-        mask = np.ones(candidates.shape[0], dtype=bool)
-        for conjunct in residual:
-            value = _evaluate(conjunct, frame)
-            if not isinstance(value, np.ndarray):
-                value = np.full(candidates.shape[0], bool(value))
-            mask &= value.astype(bool)
-        result = candidates[mask]
+        frame = _Frame(
+            {binding: (relation.columns, candidates)},
+            n_rows=candidates.shape[0],
+            outer=outer,
+        )
+        result = candidates[_mask(residual, frame)]
         residual_span.set(
             rows_in=int(candidates.shape[0]), rows_out=int(result.shape[0])
         )
@@ -829,8 +870,6 @@ def _hash_equi_join(
     bindings_bare: Dict[str, set],
 ) -> _Frame:
     """Two-relation equality join via the engine's hash join."""
-    from ..engine.join import hash_join
-
     (binding_a, rel_a), (binding_b, rel_b) = bindings
     col_a, col_b = key_cols
 
@@ -847,35 +886,20 @@ def _hash_equi_join(
         idx_a = _filter_relation(binding_a, rel_a, own_a, outer={})
         idx_b = _filter_relation(binding_b, rel_b, own_b, outer={})
 
-        from ..engine.column import Column
-
         left = Column.from_array("l", np.asarray(rel_a.columns[col_a]))
         right = Column.from_array("r", np.asarray(rel_b.columns[col_b]))
         pairs_a, pairs_b = hash_join(
             left, right, left_candidates=idx_a, right_candidates=idx_b
         )
-        join_span.set(rows_out=int(pairs_a.shape[0]))
-
-        columns: Dict[str, np.ndarray] = {}
-        for name, arr in rel_a.columns.items():
-            columns[f"{binding_a}.{name}"] = arr[pairs_a]
-        for name, arr in rel_b.columns.items():
-            columns[f"{binding_b}.{name}"] = arr[pairs_b]
-        frame = _Frame(columns, n_rows=pairs_a.shape[0])
-        if not residual:
-            return frame
-        mask = np.ones(frame.n_rows, dtype=bool)
-        for conjunct in residual:
-            value = _evaluate(conjunct, frame)
-            if not isinstance(value, np.ndarray):
-                value = np.full(frame.n_rows, bool(value))
-            mask &= value.astype(bool)
-        out = _Frame(
-            {name: arr[mask] for name, arr in columns.items()},
-            n_rows=int(mask.sum()),
+        frame = _Frame(
+            {binding_a: (rel_a.columns, pairs_a), binding_b: (rel_b.columns, pairs_b)},
+            n_rows=pairs_a.shape[0],
         )
-        join_span.set(rows_out=out.n_rows)
-    return out
+        join_span.set(rows_out=frame.n_rows)
+        if residual:
+            frame = frame.take(_mask(residual, frame))
+            join_span.set(rows_out=frame.n_rows)
+    return frame
 
 
 def _join(
@@ -907,10 +931,7 @@ def _join(
     if len(bindings) == 1:
         binding, relation = bindings[0]
         idx = _filter_relation(binding, relation, conjuncts, outer={})
-        columns: Dict[str, np.ndarray] = {}
-        for name, arr in relation.columns.items():
-            columns[f"{binding}.{name}"] = arr[idx]
-        return _Frame(columns, n_rows=idx.shape[0])
+        return _Frame({binding: (relation.columns, idx)}, n_rows=idx.shape[0])
 
     # Multi-way: probe = largest relation; outers = the rest, in order.
     probe_pos = max(range(len(bindings)), key=lambda i: bindings[i][1].n_rows)
@@ -935,49 +956,43 @@ def _join(
             idx = _filter_relation(binding, relation, own, outer={})
             outer_rows.append((binding, relation, idx))
 
-        out_columns: Dict[str, List] = {}
-        for binding, relation, _idx in outer_rows:
-            for name in relation.columns:
-                out_columns[f"{binding}.{name}"] = []
-        for name in probe_relation.columns:
-            out_columns[f"{probe_binding}.{name}"] = []
-        total = 0
+        # Join index: per binding, the row-id runs of each probe hit; an
+        # outer row repeats once per probe row it matched.
+        row_ids: Dict[str, List[np.ndarray]] = {
+            binding: [] for binding, _, _ in outer_rows
+        }
+        row_ids[probe_binding] = []
 
-        def recurse(level: int, outer_env: Dict[str, object]) -> None:
-            nonlocal total
+        def recurse(level: int, outer_env: _Outer) -> None:
             if level == len(outer_rows):
                 idx = _filter_relation(
                     probe_binding, probe_relation, remaining, outer=outer_env
                 )
-                k = idx.shape[0]
-                if k == 0:
-                    return
-                for name, arr in probe_relation.columns.items():
-                    out_columns[f"{probe_binding}.{name}"].append(arr[idx])
-                for key, value in outer_env.items():
-                    if key in out_columns:
-                        filler = np.empty(k, dtype=object)
-                        filler[:] = [value] * k
-                        out_columns[key].append(filler)
-                total += k
+                row_ids[probe_binding].append(idx)
+                for binding, (_, row) in outer_env.items():
+                    row_ids[binding].append(
+                        np.full(idx.shape[0], row, dtype=np.int64)
+                    )
                 return
             binding, relation, idx = outer_rows[level]
             for row in idx:
-                env = dict(outer_env)
-                for name, arr in relation.columns.items():
-                    env[f"{binding}.{name}"] = arr[row]
-                recurse(level + 1, env)
+                recurse(level + 1, {**outer_env, binding: (relation.columns, row)})
 
         recurse(0, {})
 
-        final: Dict[str, np.ndarray] = {}
-        for key, parts in out_columns.items():
-            if parts:
-                final[key] = np.concatenate(parts)
-            else:
-                final[key] = np.empty(0, dtype=object)
-        join_span.set(rows_out=total)
-    return _Frame(final, n_rows=total)
+        relations = dict(bindings)
+        frame = _Frame(
+            {
+                binding: (
+                    relations[binding].columns,
+                    np.concatenate(runs) if runs else np.empty(0, dtype=np.int64),
+                )
+                for binding, runs in row_ids.items()
+            },
+            n_rows=sum(run.shape[0] for run in row_ids[probe_binding]),
+        )
+        join_span.set(rows_out=frame.n_rows)
+    return frame
 
 
 # -- projection and aggregation ------------------------------------------------------------
@@ -1007,8 +1022,8 @@ def _project(select: ast.Select, frame: _Frame) -> Result:
     )
     if aggregate_query:
         with maybe_span("aggregate", rows_in=frame.n_rows) as span:
-            result = _aggregate(select, frame)
-            span.set(rows_out=len(result.rows), groups=len(select.group_by))
+            result, n_groups = _aggregate(select, frame)
+            span.set(rows_out=len(result.rows), groups=n_groups)
     else:
         with maybe_span("project", rows_in=frame.n_rows) as span:
             result = _plain_project(select, frame)
@@ -1029,13 +1044,6 @@ def _project(select: ast.Select, frame: _Frame) -> Result:
         result = Result(columns=result.columns, rows=deduped)
 
     if select.order_by:
-        order_frame = _Frame(
-            {
-                name: _column_as_array([row[i] for row in result.rows])
-                for i, name in enumerate(result.columns)
-            },
-            n_rows=len(result.rows),
-        )
         keys = []
         for order_item in reversed(select.order_by):
             values = _evaluate_ordering(order_item.expr, result, frame)
@@ -1068,16 +1076,17 @@ def _evaluate_ordering(expr: ast.Node, result: Result, frame: _Frame) -> list:
         if not 0 <= position < len(result.columns):
             raise SqlExecutionError(f"ORDER BY position {expr.value} out of range")
         return [row[position] for row in result.rows]
-    # Evaluate against the output columns; for plain projections (result
-    # rows align 1:1 with input rows) fall back to the input frame so
-    # ORDER BY may use columns that were not selected.
-    out_frame = _Frame(
-        {
-            name: _column_as_array(result.column(name))
-            for name in result.columns
-        },
-        n_rows=len(result.rows),
-    )
+    # Evaluate against the output columns (a ``t.x`` name from ``*``
+    # keeps its binding); for plain projections (result rows align 1:1
+    # with input rows) fall back to the input frame so ORDER BY may use
+    # columns that were not selected.
+    n_rows = len(result.rows)
+    outputs: Dict[str, Tuple[Dict[str, np.ndarray], np.ndarray]] = {}
+    for name in result.columns:
+        binding, _, column = name.rpartition(".")
+        columns, _ = outputs.setdefault(binding, ({}, np.arange(n_rows)))
+        columns[column] = _column_as_array(result.column(name))
+    out_frame = _Frame(outputs, n_rows=n_rows)
     try:
         value = _evaluate(expr, out_frame)
     except SqlExecutionError:
@@ -1091,24 +1100,25 @@ def _evaluate_ordering(expr: ast.Node, result: Result, frame: _Frame) -> list:
 
 def _plain_project(select: ast.Select, frame: _Frame) -> Result:
     columns: List[str] = []
-    arrays: List[np.ndarray] = []
+    values: List[list] = []
     for position, item in enumerate(select.items):
         if isinstance(item.expr, ast.Star):
-            for key in frame.columns:
-                columns.append(key)
-                arrays.append(frame.columns[key])
+            for name, arr in frame.star():
+                columns.append(name)
+                values.append(_python_values(arr, frame.n_rows))
             continue
-        value = _evaluate(item.expr, frame)
-        if not isinstance(value, np.ndarray):
-            filler = np.empty(frame.n_rows, dtype=object)
-            filler[:] = [value] * frame.n_rows
-            value = filler
         columns.append(_item_name(item, position))
-        arrays.append(value)
-    rows = [
-        tuple(_to_python(arr[i]) for arr in arrays) for i in range(frame.n_rows)
-    ]
-    return Result(columns=columns, rows=rows)
+        values.append(_python_values(_evaluate(item.expr, frame), frame.n_rows))
+    return Result(columns=columns, rows=list(zip(*values)))
+
+
+def _python_values(value, n_rows: int) -> list:
+    """An output column as plain Python values, a scalar repeated."""
+    if not isinstance(value, np.ndarray):
+        return [_to_python(value)] * n_rows
+    if value.dtype == object:
+        return [_to_python(v) for v in value]
+    return value.tolist()
 
 
 def _to_python(value):
@@ -1263,91 +1273,68 @@ def _explain_plan(
     return "\n".join(lines)
 
 
-def _aggregate(select: ast.Select, frame: _Frame) -> Result:
-    group_exprs = list(select.group_by)
-    if group_exprs:
-        key_values = []
-        for expr in group_exprs:
-            value = _evaluate(expr, frame)
-            if not isinstance(value, np.ndarray):
-                raise SqlExecutionError("GROUP BY expression must reference columns")
-            key_values.append(value)
-        groups: Dict[tuple, List[int]] = {}
-        for i in range(frame.n_rows):
-            key = tuple(v[i] for v in key_values)
-            groups.setdefault(key, []).append(i)
-        ordered = sorted(groups.items(), key=lambda kv: kv[0])
-    else:
-        ordered = [((), list(range(frame.n_rows)))]
+def _aggregate(select: ast.Select, frame: _Frame) -> Tuple[Result, int]:
+    """Group the frame once, evaluate every item as one value per group.
 
-    columns = [
-        _item_name(item, position) for position, item in enumerate(select.items)
-    ]
-    rows: List[tuple] = []
-    for key, indices in ordered:
-        sub = _Frame(
-            {
-                name: arr[np.asarray(indices, dtype=np.int64)]
-                for name, arr in frame.columns.items()
-            },
-            n_rows=len(indices),
+    Returns the result and the number of groups before ``HAVING``.
+    """
+    keys = []
+    for expr in select.group_by:
+        value = _evaluate(expr, frame)
+        if not isinstance(value, np.ndarray):
+            raise SqlExecutionError("GROUP BY expression must reference columns")
+        keys.append(value)
+    grouping = group_rows(keys, frame.n_rows)
+    kept = np.arange(grouping.n_groups)
+    if select.having is not None:
+        keep = _per_group(select.having, frame, grouping)
+        kept = kept[np.broadcast_to(_as_bool(keep), kept.shape)]
+
+    columns, values = [], []
+    for position, item in enumerate(select.items):
+        value = _per_group(item.expr, frame, grouping)
+        columns.append(_item_name(item, position))
+        values.append(
+            _python_values(
+                value[kept] if isinstance(value, np.ndarray) else value,
+                kept.shape[0],
+            )
         )
-        if select.having is not None:
-            keep = _eval_aggregate_expr(select.having, sub)
-            if not bool(keep):
-                continue
-        row = []
-        for item in select.items:
-            row.append(_to_python(_eval_aggregate_expr(item.expr, sub)))
-        rows.append(tuple(row))
-    return Result(columns=columns, rows=rows)
+    return Result(columns=columns, rows=list(zip(*values))), grouping.n_groups
 
 
-def _eval_aggregate_expr(node: ast.Node, frame: _Frame):
-    """Evaluate a select expression in aggregate context: aggregate calls
-    collapse to scalars, everything else must be group-constant."""
+def _per_group(node: ast.Node, frame: _Frame, grouping: Grouping):
+    """A select expression in aggregate context, one value per group.
+
+    Aggregate calls reduce over the grouping, operators over them apply
+    element-wise, and anything else must be group-constant: it is
+    evaluated once on the frame and read at each group's first row.
+    """
     if isinstance(node, ast.FuncCall) and node.name in AGGREGATES:
-        return _apply_aggregate(node, frame)
+        return _apply_aggregate(node, frame, grouping)
     if isinstance(node, ast.BinOp):
-        left = _eval_aggregate_expr(node.left, frame)
-        right = _eval_aggregate_expr(node.right, frame)
-        return _eval_binop(ast.BinOp(node.op, ast.Literal(left), ast.Literal(right)), frame)
+        return _binop(
+            node.op,
+            _per_group(node.left, frame, grouping),
+            _per_group(node.right, frame, grouping),
+        )
     if isinstance(node, ast.UnaryOp):
-        inner = _eval_aggregate_expr(node.operand, frame)
-        return -inner if node.op == "-" else (not inner)
+        return _unary(node.op, _per_group(node.operand, frame, grouping))
     value = _evaluate(node, frame)
-    if isinstance(value, np.ndarray):
-        if value.shape[0] == 0:
-            return None
-        first = value[0]
-        return first
-    return value
+    if not isinstance(value, np.ndarray):
+        return value
+    return value[grouping.first] if frame.n_rows else None
 
 
-def _apply_aggregate(node: ast.FuncCall, frame: _Frame):
-    name = node.name
-    if name == "count":
-        if len(node.args) == 1 and isinstance(node.args[0], ast.Star):
-            return frame.n_rows
-        if len(node.args) != 1:
-            raise SqlExecutionError("count() takes one argument")
-        value = _evaluate(node.args[0], frame)
-        if isinstance(value, np.ndarray):
-            return int(value.shape[0])
-        return frame.n_rows
+def _apply_aggregate(node: ast.FuncCall, frame: _Frame, grouping: Grouping):
     if len(node.args) != 1:
-        raise SqlExecutionError(f"{name}() takes one argument")
-    value = _evaluate(node.args[0], frame)
+        raise SqlExecutionError(f"{node.name}() takes one argument")
+    (arg,) = node.args
+    if node.name == "count":
+        if not isinstance(arg, ast.Star):
+            _evaluate(arg, frame)  # unknown columns still raise
+        return grouping.aggregate("count")
+    value = _evaluate(arg, frame)
     if not isinstance(value, np.ndarray):
         value = np.full(frame.n_rows, value, dtype=np.float64)
-    if value.shape[0] == 0:
-        return None
-    if name == "sum":
-        return value.sum()
-    if name == "avg":
-        return float(np.mean(value.astype(np.float64)))
-    if name == "min":
-        return value.min()
-    if name == "max":
-        return value.max()
-    raise SqlExecutionError(f"unknown aggregate {name!r}")
+    return grouping.aggregate(node.name, value)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.aggregate import avg, count, group_aggregate, max_, min_, sum_
+from repro.engine.aggregate import group_rows
 from repro.engine.column import Column
-from repro.engine.join import band_join, hash_join
+from repro.engine.join import hash_join
 
 
 class TestHashJoin:
@@ -62,102 +62,70 @@ class TestHashJoin:
         assert got == expected
 
 
-class TestBandJoin:
-    def test_radius_zero_is_equi(self):
-        left = Column("l", "float64", data=[1.0, 2.0])
-        right = Column("r", "float64", data=[2.0, 3.0])
-        lo, ro = band_join(left, right, 0.0)
-        assert sorted(zip(lo.tolist(), ro.tolist())) == [(1, 0)]
-
-    def test_band(self):
-        left = Column("l", "float64", data=[0.0])
-        right = Column("r", "float64", data=[-1.5, -0.5, 0.5, 1.5])
-        lo, ro = band_join(left, right, 1.0)
-        assert sorted(ro.tolist()) == [1, 2]
-
-    def test_negative_radius_raises(self):
-        left = Column("l", "float64", data=[0.0])
-        with pytest.raises(ValueError):
-            band_join(left, left, -1.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        lvals=st.lists(st.integers(-20, 20), min_size=0, max_size=30),
-        rvals=st.lists(st.integers(-20, 20), min_size=0, max_size=30),
-        radius=st.integers(0, 5),
-    )
-    def test_matches_nested_loop_reference(self, lvals, rvals, radius):
-        left = Column("l", "int64", data=np.array(lvals, dtype=np.int64))
-        right = Column("r", "int64", data=np.array(rvals, dtype=np.int64))
-        lo, ro = band_join(left, right, float(radius))
-        got = sorted(zip(lo.tolist(), ro.tolist()))
-        expected = sorted(
-            (i, j)
-            for i, lv in enumerate(lvals)
-            for j, rv in enumerate(rvals)
-            if abs(lv - rv) <= radius
-        )
-        assert got == expected
-
-
 class TestScalarAggregates:
+    """Aggregates without GROUP BY: the one-group case of the grouping."""
+
     def test_count_sum_avg(self):
-        col = Column("v", "float64", data=[1.0, 2.0, 3.0, 4.0])
-        assert count(col) == 4
-        assert sum_(col) == 10.0
-        assert avg(col) == 2.5
+        vals = np.array([1.0, 2.0, 3.0, 4.0])
+        one = group_rows([], 4)
+        assert one.aggregate("count").tolist() == [4]
+        assert one.aggregate("sum", vals).tolist() == [10.0]
+        assert one.aggregate("avg", vals).tolist() == [2.5]
 
     def test_with_candidates(self):
         col = Column("v", "float64", data=[1.0, 2.0, 3.0, 4.0])
         cands = np.array([1, 3], dtype=np.int64)
-        assert count(col, cands) == 2
-        assert sum_(col, cands) == 6.0
-        assert min_(col, cands) == 2.0
-        assert max_(col, cands) == 4.0
+        one = group_rows([], cands.shape[0])
+        vals = col.take(cands)
+        assert one.aggregate("count").tolist() == [2]
+        assert one.aggregate("sum", vals).tolist() == [6.0]
+        assert one.aggregate("min", vals).tolist() == [2.0]
+        assert one.aggregate("max", vals).tolist() == [4.0]
 
-    def test_avg_empty_is_nan(self):
-        col = Column("v", "float64", data=[1.0])
-        assert np.isnan(avg(col, np.empty(0, dtype=np.int64)))
+    def test_avg_empty_is_none(self):
+        one = group_rows([], 0)
+        assert one.aggregate("count").tolist() == [0]
+        assert one.aggregate("avg", np.empty(0)).tolist() == [None]
 
-    def test_minmax_empty_raise(self):
-        col = Column("v", "float64", data=[1.0])
-        with pytest.raises(ValueError):
-            min_(col, np.empty(0, dtype=np.int64))
-        with pytest.raises(ValueError):
-            max_(col, np.empty(0, dtype=np.int64))
+    def test_minmax_empty_is_none(self):
+        one = group_rows([], 0)
+        assert one.aggregate("min", np.empty(0)).tolist() == [None]
+        assert one.aggregate("max", np.empty(0)).tolist() == [None]
 
 
 class TestGroupAggregate:
     def test_grouped_count(self):
-        out = group_aggregate(np.array([2, 1, 2, 2]), None, "count")
-        np.testing.assert_array_equal(out["groups"], [1, 2])
-        np.testing.assert_array_equal(out["values"], [1, 3])
+        keys = np.array([2, 1, 2, 2])
+        grouping = group_rows([keys], 4)
+        np.testing.assert_array_equal(keys[grouping.first], [1, 2])
+        np.testing.assert_array_equal(grouping.aggregate("count"), [1, 3])
 
     def test_grouped_avg(self):
         groups = np.array([1, 1, 2])
         vals = np.array([1.0, 3.0, 10.0])
-        out = group_aggregate(groups, vals, "avg")
-        np.testing.assert_array_equal(out["groups"], [1, 2])
-        np.testing.assert_allclose(out["values"], [2.0, 10.0])
+        grouping = group_rows([groups], 3)
+        np.testing.assert_array_equal(groups[grouping.first], [1, 2])
+        np.testing.assert_allclose(grouping.aggregate("avg", vals), [2.0, 10.0])
 
     def test_grouped_min_max_sum(self):
-        groups = np.array([0, 1, 0, 1])
+        grouping = group_rows([np.array([0, 1, 0, 1])], 4)
         vals = np.array([5, 2, 3, 8])
-        assert group_aggregate(groups, vals, "min")["values"].tolist() == [3, 2]
-        assert group_aggregate(groups, vals, "max")["values"].tolist() == [5, 8]
-        assert group_aggregate(groups, vals, "sum")["values"].tolist() == [8, 10]
+        assert grouping.aggregate("min", vals).tolist() == [3, 2]
+        assert grouping.aggregate("max", vals).tolist() == [5, 8]
+        assert grouping.aggregate("sum", vals).tolist() == [8, 10]
 
     def test_empty_input(self):
-        out = group_aggregate(np.empty(0, dtype=np.int64), None, "count")
-        assert out["groups"].shape == (0,)
+        grouping = group_rows([np.empty(0, dtype=np.int64)], 0)
+        assert grouping.n_groups == 0
+        assert grouping.aggregate("count").shape == (0,)
 
     def test_unknown_aggregate(self):
         with pytest.raises(ValueError):
-            group_aggregate(np.array([1]), np.array([1.0]), "median")
+            group_rows([np.array([1])], 1).aggregate("median", np.array([1.0]))
 
     def test_missing_values_for_sum(self):
         with pytest.raises(ValueError):
-            group_aggregate(np.array([1]), None, "sum")
+            group_rows([np.array([1])], 1).aggregate("sum")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -170,9 +138,14 @@ class TestGroupAggregate:
     def test_grouped_sum_matches_dict_reference(self, pairs):
         groups = np.array([p[0] for p in pairs], dtype=np.int64)
         vals = np.array([p[1] for p in pairs], dtype=np.int64)
-        out = group_aggregate(groups, vals, "sum")
+        grouping = group_rows([groups], groups.shape[0])
         expected = {}
         for g, v in pairs:
             expected[g] = expected.get(g, 0) + v
-        got = dict(zip(out["groups"].tolist(), out["values"].tolist()))
+        got = dict(
+            zip(
+                groups[grouping.first].tolist(),
+                grouping.aggregate("sum", vals).tolist(),
+            )
+        )
         assert got == expected

@@ -89,5 +89,9 @@ class TestFetch:
         assert set(out.keys()) == {"x", "y", "cls"}
         assert out["cls"][0] == 6
 
+    def test_fetch_empty_candidates(self, points):
+        out = points.fetch(np.empty(0, dtype=np.int64))
+        assert out["x"].shape == (0,)
+
     def test_nbytes(self, points):
         assert points.nbytes == 3 * 8 + 3 * 8 + 3 * 1

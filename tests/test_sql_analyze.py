@@ -127,6 +127,17 @@ class TestJoin:
         spatial_line = next(l for l in lines if "filter.spatial" in l)
         assert "segments_skipped=" in spatial_line
 
+    def test_aggregate_span_counts_groups_before_having(self, session):
+        text = session.explain_analyze(
+            "SELECT classification, count(*) FROM points "
+            "GROUP BY classification HAVING count(*) > 99999"
+        )
+        aggregate_line = next(
+            l for l in text.splitlines() if l.strip().startswith("aggregate")
+        )
+        assert "groups=3" in aggregate_line
+        assert "rows_out=0" in aggregate_line
+
     def test_analyze_leaves_tracer_state(self, session):
         tracer = get_tracer()
         before = tracer.enabled

@@ -75,3 +75,17 @@ class TestHaving:
             "SELECT city, count(*) FROM obs GROUP BY city HAVING count(*) > 99"
         )
         assert len(result) == 0
+
+
+class TestGroupKeys:
+    def test_nan_keys_form_one_group_sorted_last(self):
+        t = Table("t", [("k", "float64"), ("v", "int64")])
+        t.append_columns({"k": [1.0, np.nan, np.nan, 2.0], "v": [1, 2, 3, 4]})
+        session = Session()
+        session.register_table(t, point_columns=None)
+        rows = session.execute(
+            "SELECT k, count(*), sum(v) FROM t GROUP BY k"
+        ).rows
+        assert [row[0] for row in rows[:2]] == [1.0, 2.0]
+        assert [row[1:] for row in rows] == [(1, 1), (1, 4), (2, 5)]
+        assert np.isnan(rows[2][0])

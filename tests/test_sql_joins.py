@@ -114,3 +114,58 @@ class TestMixedJoin:
         bk = b.column("k").values
         want = sum(int((bk == k).sum()) for k in ak)
         assert got == want
+
+
+class TestGroupedAcrossStrategies:
+    """One grouped query with a string key and two keys must give the
+    same rows through every join strategy."""
+
+    @pytest.fixture()
+    def grouped(self):
+        rng = np.random.default_rng(13)
+        n = 240
+        fact = {
+            "k": rng.integers(0, 6, n),
+            "g": rng.integers(0, 3, n),
+            "v": rng.integers(-50, 50, n),
+        }
+        names = ["beta", "alpha", "gamma", "alpha", "delta", "beta"]
+        f = Table("f", [("k", "int64"), ("g", "int64"), ("v", "int64")])
+        f.append_columns(fact)
+        session = Session()
+        session.register_table(f, point_columns=None)
+        session.register_columns("d", {"k": list(range(6)), "name": names})
+        session.register_columns(
+            "fd",
+            {
+                "name": [names[k] for k in fact["k"]],
+                "g": fact["g"],
+                "v": fact["v"],
+            },
+        )
+        expected = {}
+        for k, g, v in zip(fact["k"], fact["g"], fact["v"]):
+            expected.setdefault((names[k], int(g)), []).append(int(v))
+        want = [
+            (name, g, len(vs), sum(vs), min(vs), max(vs))
+            for (name, g), vs in sorted(expected.items())
+        ]
+        return session, want
+
+    @pytest.mark.parametrize(
+        "source, plan",
+        [
+            ("fd", "access fd"),
+            ("f, d WHERE f.k = d.k", "hash join"),
+            ("f, d WHERE f.k + 0 = d.k", "nested-loop join"),
+        ],
+        ids=["single_relation", "hash_join", "nested_loop"],
+    )
+    def test_multi_and_string_key_group_by(self, grouped, source, plan):
+        session, want = grouped
+        sql = (
+            "SELECT name, g, count(*), sum(v), min(v), max(v) "
+            f"FROM {source} GROUP BY name, g"
+        )
+        assert session.explain(sql).startswith(plan)
+        assert session.execute(sql).rows == want

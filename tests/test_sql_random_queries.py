@@ -5,7 +5,9 @@ columns; each tree is rendered both as SQL text and as a numpy evaluator.
 ``SELECT count(*)`` through the full engine (lexer, parser, push-down,
 vectorised evaluation) must match the oracle exactly — this shreds
 operator precedence, NOT/AND/OR semantics, BETWEEN/IN edges and the
-range-push-down rewrite in one property.
+range-push-down rewrite in one property.  The same trees also drive a
+grouped query (``GROUP BY b`` with every aggregate, with and without
+``HAVING``) against a numpy grouping oracle.
 """
 
 import numpy as np
@@ -135,3 +137,37 @@ def test_random_where_negation_partitions(tree):
         f"SELECT count(*) FROM t WHERE NOT ({tree.sql})"
     ).scalar()
     assert pos + neg == N_ROWS, tree.sql
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=expr_tree())
+def test_random_where_grouped_matches_numpy_oracle(tree):
+    """Grouped aggregates under the random predicate match numpy: exact
+    for count/sum/min/max, approximate for avg; groups ascending by key."""
+    session = make_session()
+    mask = tree.fn()
+    a, b = _A[mask], _B[mask]
+    for having in ("", " HAVING count(*) > 2"):
+        rows = session.execute(
+            "SELECT b, count(*), sum(a), min(a), max(a), avg(a) FROM t "
+            f"WHERE {tree.sql} GROUP BY b{having}"
+        ).rows
+        want = []
+        for key in np.unique(b):
+            group = a[b == key]
+            if having and group.shape[0] <= 2:
+                continue
+            want.append(
+                (
+                    int(key),
+                    group.shape[0],
+                    int(group.sum()),
+                    int(group.min()),
+                    int(group.max()),
+                    float(group.mean()),
+                )
+            )
+        assert [row[:5] for row in rows] == [row[:5] for row in want], tree.sql
+        assert [row[5] for row in rows] == pytest.approx(
+            [row[5] for row in want]
+        ), tree.sql
