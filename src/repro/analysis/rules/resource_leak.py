@@ -1,7 +1,7 @@
 """R7 ``resource-leak``: every acquire must reach its release.
 
 The service layer is a chain of counted resources — admission slots,
-snapshot generation pins, session checkouts, resource-tracker frames,
+snapshot generation pins, session checkouts, query-registry records,
 raw file handles — and each one leaks the same way: an early ``return``
 or an escaping exception between the acquire and the release.  A leaked
 admission slot is permanent denial of service (the daemon's concurrency

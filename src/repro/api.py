@@ -18,7 +18,7 @@ together — flat tables (Section 3.1), the binary bulk loader (Section
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .obs.trace import Tracer, get_tracer
 from .sql.executor import Result, Session
 
 PathLike = Union[str, Path]
+
+R = TypeVar("R", QueryResult, Result)
 
 
 def _query_hot_stacks(query_id: str) -> Optional[Dict[str, object]]:
@@ -162,34 +164,44 @@ class PointCloudDB:
         ``timeout_s=`` for a cooperative deadline.
         """
         select = self.select_for(name)
+        env = geometry_envelope(geometry)
+        return self._observed(
+            lambda: select.query(geometry, predicate, distance, **kwargs),
+            lambda result: result.stats.query_id,
+            "spatial",
+            table=name,
+            predicate=predicate,
+            bbox=[env.xmin, env.ymin, env.xmax, env.ymax],
+        )
+
+    def _observed(
+        self,
+        run: Callable[[], R],
+        query_id_of: Callable[[R], Optional[str]],
+        kind: str,
+        **detail: object,
+    ) -> R:
+        """Run one query under this database's context and, when armed,
+        the slow log, whose record reads the query's finished registry
+        record (``query_id_of`` names it)."""
         with self.obs.activate():
             if self.slow_log is None:
-                return select.query(geometry, predicate, distance, **kwargs)
-            env = geometry_envelope(geometry)
-            with self.slow_log.observe(
-                "spatial",
-                table=name,
-                predicate=predicate,
-                bbox=[env.xmin, env.ymin, env.xmax, env.ymax],
-            ) as observation:
-                result = select.query(geometry, predicate, distance, **kwargs)
-                usage = result.stats.resources
-                observation.set(
-                    query_id=result.stats.query_id,
-                    rows=len(result),
-                    stats={
-                        "filter_seconds": result.stats.filter_seconds,
-                        "refine_seconds": result.stats.refine_seconds,
-                        "imprint_build_seconds": result.stats.imprint_build_seconds,
-                        "n_filter_candidates": result.stats.n_filter_candidates,
-                        "n_segments_skipped": result.stats.n_segments_skipped,
-                        "n_segments_probed": result.stats.n_segments_probed,
-                    },
-                    resources=usage.to_dict(),
-                    encoded_bytes=usage.encoded_bytes,
-                    materialized_bytes=usage.materialized_bytes,
-                )
-                hot = _query_hot_stacks(result.stats.query_id)
+                return run()
+            with self.slow_log.observe(kind, **detail) as observation:
+                result = run()
+                query_id = query_id_of(result)
+                observation.set(query_id=query_id, rows=len(result))
+                for record in self.obs.queries.recent():
+                    if record["query_id"] == query_id:
+                        usage = record["resources"]
+                        observation.set(
+                            stats=record.get("stats", {}),
+                            resources=usage,
+                            encoded_bytes=usage["encoded_bytes"],
+                            materialized_bytes=usage["materialized_bytes"],
+                        )
+                        break
+                hot = _query_hot_stacks(query_id) if query_id else None
                 if hot is not None:
                     observation.set(hot_stacks=hot)
         return result
@@ -247,26 +259,12 @@ class PointCloudDB:
         it raises :class:`~repro.obs.queries.QueryCancelled`.
         """
         session = self._session()
-        with self.obs.activate():
-            if self.slow_log is None:
-                return session.execute(query, timeout_s=timeout_s)
-            with self.slow_log.observe("sql", sql=query.strip()) as observation:
-                result = session.execute(query, timeout_s=timeout_s)
-                usage = session.last_resources
-                observation.set(
-                    query_id=session.last_query_id,
-                    rows=len(result.rows),
-                    profile=dict(session.last_profile),
-                    resources=usage.to_dict() if usage is not None else None,
-                    encoded_bytes=usage.encoded_bytes if usage is not None else 0,
-                    materialized_bytes=(
-                        usage.materialized_bytes if usage is not None else 0
-                    ),
-                )
-                hot = _query_hot_stacks(session.last_query_id)
-                if hot is not None:
-                    observation.set(hot_stacks=hot)
-        return result
+        return self._observed(
+            lambda: session.execute(query, timeout_s=timeout_s),
+            lambda _result: session.last_query_id,
+            "sql",
+            sql=query.strip(),
+        )
 
     def explain(self, query: str) -> str:
         """The query's plan as text (which indexes it would use)."""

@@ -5,8 +5,8 @@ the paper's LAS-style integer coordinate columns, packs them into the
 per-segment execution format (:mod:`repro.engine.compressed`) and runs
 the E-series selectivity sweep twice per query — once on the packed
 segments, once on the plain numpy arrays — recording wall-clock seconds
-*and* the bytes each path actually moved (via the resource-attribution
-tracker, the same accounting ``EXPLAIN ANALYZE`` reports).
+*and* the bytes each path actually moved (via a query-registry record,
+the same accounting ``EXPLAIN ANALYZE`` reports).
 
 The resulting ``BENCH_compression.json`` is the artifact behind the
 "evaluate without decompressing" claim: packed range scans must touch at
@@ -25,7 +25,7 @@ from ..core.sfc import morton_encode, quantize
 from ..engine.select import range_select, theta_select
 from ..engine.table import Table
 from ..gis.envelope import Box
-from ..obs.resources import ResourceTracker
+from ..obs.queries import get_queries
 from .harness import best_of
 
 #: LAS-style coordinate resolution: centimetres, as AHN2 ships.
@@ -140,16 +140,15 @@ def _measure(
     table: Table, spec: Dict[str, Any], repeats: int
 ) -> Tuple[Dict[str, object], int]:
     """Best-of seconds plus one attributed run's rows/bytes touched."""
-    tracker = ResourceTracker()
-    with tracker:
+    with get_queries().track("bench", detail={"spec": spec["name"]}) as record:
         result = _run_spec(table, spec)
     seconds = best_of(lambda: _run_spec(table, spec), repeats)
     n = len(table)
     return (
         {
             "seconds": seconds,
-            "bytes_touched": int(tracker.usage.bytes_touched),
-            "rows_touched": int(tracker.usage.rows_touched),
+            "bytes_touched": int(record.usage.bytes_touched),
+            "rows_touched": int(record.usage.rows_touched),
             "throughput_mpts": (n / seconds / 1e6) if seconds > 0 else 0.0,
         },
         int(result.shape[0]),

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..engine.parallel import hardware_threads
 from ..obs.metrics import get_registry
-from ..obs.resources import ResourceTracker
+from ..obs.queries import get_queries
 from .harness import best_of
 
 DEFAULT_THREADS = (1, 2, 4, 8)
@@ -62,14 +62,13 @@ def sweep(
     """
     rows: List[Dict[str, object]] = []
     for threads in thread_counts:
-        tracker = ResourceTracker()
-        with tracker:
+        with get_queries().track("bench", detail={"threads": threads}) as record:
             seconds = best_of(lambda: run_query(threads), repeats)
         rows.append(
             {
                 "threads": threads,
                 "seconds": seconds,
-                "resources": tracker.usage.to_dict(),
+                "resources": record.usage.to_dict(),
             }
         )
     base = rows[0]["seconds"]

@@ -18,7 +18,7 @@ the ablation benches (pure scan, no grid, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,10 +28,8 @@ from ..engine.select import intersect_candidates, mask_select, range_select
 from ..engine.table import Table
 from ..gis.envelope import Box
 from ..gis.predicates import geometry_envelope, points_satisfy
-from ..obs import heat as _heat
-from ..obs.metrics import get_registry
-from ..obs.queries import current_query, get_queries
-from ..obs.resources import ResourceTracker, ResourceUsage
+from ..obs.queries import ActiveQuery, get_queries
+from ..obs.resources import ResourceUsage
 from ..obs.timing import now
 from ..obs.trace import maybe_span
 from .grid import DEFAULT_TARGET_CELLS
@@ -153,6 +151,7 @@ class SpatialSelect:
     def _filter(
         self,
         env: Box,
+        domain: Tuple[float, float, float, float],
         use_imprints: bool,
         threads: Optional[int] = None,
         stats: Optional[QueryStats] = None,
@@ -163,14 +162,13 @@ class SpatialSelect:
         the second consumes the survivor candidate list and scans only
         those rows.  The imprint goes to the axis where the query covers
         the smaller fraction of the column's domain (most selective probe
-        first).
+        first).  ``domain`` is the table's ``(xmin, ymin, xmax, ymax)``.
         """
         x_col = self.table.column(self.x_column)
         y_col = self.table.column(self.y_column)
-        x_lo, x_hi = x_col.minmax()
-        y_lo, y_hi = y_col.minmax()
-        x_fraction = (env.xmax - env.xmin) / max(float(x_hi) - float(x_lo), 1e-300)
-        y_fraction = (env.ymax - env.ymin) / max(float(y_hi) - float(y_lo), 1e-300)
+        x_lo, y_lo, x_hi, y_hi = domain
+        x_fraction = (env.xmax - env.xmin) / max(x_hi - x_lo, 1e-300)
+        y_fraction = (env.ymax - env.ymin) / max(y_hi - y_lo, 1e-300)
         if x_fraction <= y_fraction:
             first_name, first_lo, first_hi = self.x_column, env.xmin, env.xmax
             second_col, second_lo, second_hi = y_col, env.ymin, env.ymax
@@ -235,68 +233,41 @@ class SpatialSelect:
                 oids=np.empty(0, dtype=np.int64),
                 stats=QueryStats(n_rows=0, used_imprints=use_imprints),
             )
-        # The tracker accumulates this thread's CPU at exit and receives
-        # worker CPU / scan volumes from run_tasks and the select
-        # operators while open; the histogram is observed after exit,
-        # once the caller-thread delta has landed.
-        tracker = ResourceTracker()
         with get_queries().track(
             "spatial",
             detail={"table": self.table.name, "predicate": predicate},
             timeout_s=timeout_s,
-            tracker=tracker,
         ) as active:
-            with tracker:
-                result = self._query_traced(
-                    geometry,
-                    predicate,
-                    distance,
-                    use_imprints,
-                    use_grid,
-                    z_column,
-                    z_range,
-                    threads,
-                )
-        result.stats.resources = tracker.usage
+            result = self._query_traced(
+                active,
+                geometry,
+                predicate,
+                distance,
+                use_imprints,
+                use_grid,
+                z_column,
+                z_range,
+                threads,
+            )
+            stats = result.stats
+            active.stats.update(
+                filter_seconds=stats.filter_seconds,
+                refine_seconds=stats.refine_seconds,
+                imprint_build_seconds=stats.imprint_build_seconds,
+                total_seconds=stats.total_seconds,
+                n_filter_candidates=stats.n_filter_candidates,
+                n_segments_skipped=stats.n_segments_skipped,
+                n_segments_probed=stats.n_segments_probed,
+            )
+        # The record's usage is complete once ``track`` has measured the
+        # caller thread's CPU on exit.
+        result.stats.resources = active.usage
         result.stats.query_id = active.query_id
-        get_registry().histogram("query.cpu_seconds").observe(
-            tracker.usage.cpu_seconds
-        )
-        self._record_heat(geometry, predicate, distance, tracker.usage)
         return result
-
-    def _record_heat(
-        self,
-        geometry,
-        predicate: str,
-        distance: float,
-        usage: ResourceUsage,
-    ) -> None:
-        """Fold this query's bbox footprint into the workload heat map.
-
-        Outside the tracker/track windows so the bookkeeping never counts
-        against the query's own resource or latency accounting.
-        """
-        heat = _heat.maybe_heat()
-        if heat is None:
-            return
-        env = geometry_envelope(geometry)
-        if predicate == "dwithin":
-            env = env.expand(distance)
-        x_lo, x_hi = self.table.column(self.x_column).minmax()
-        y_lo, y_hi = self.table.column(self.y_column).minmax()
-        nbytes = int(usage.encoded_bytes + usage.materialized_bytes)
-        if nbytes == 0:
-            nbytes = int(usage.bytes_touched)
-        heat.record_footprint(
-            table=self.table.name,
-            bbox=(env.xmin, env.ymin, env.xmax, env.ymax),
-            domain=(float(x_lo), float(y_lo), float(x_hi), float(y_hi)),
-            nbytes=nbytes,
-        )
 
     def _query_traced(
         self,
+        active: ActiveQuery,
         geometry,
         predicate: str,
         distance: float,
@@ -309,13 +280,11 @@ class SpatialSelect:
         with maybe_span(
             "query.spatial", table=self.table.name, predicate=predicate
         ) as query_span:
-            active = current_query()
-            if active is not None:
-                query_span.set(query_id=active.query_id)
-                trace_id = getattr(query_span, "trace_id", 0)
-                if trace_id:
-                    active.set_trace(int(trace_id))
-                active.set_phase("filter")
+            query_span.set(query_id=active.query_id)
+            trace_id = getattr(query_span, "trace_id", 0)
+            if trace_id:
+                active.set_trace(int(trace_id))
+            active.set_phase("filter")
             stats = QueryStats(
                 n_rows=len(self.table),
                 used_imprints=use_imprints,
@@ -327,10 +296,18 @@ class SpatialSelect:
             env = geometry_envelope(geometry)
             if predicate == "dwithin":
                 env = env.expand(distance)
+            x_lo, x_hi = self.table.column(self.x_column).minmax()
+            y_lo, y_hi = self.table.column(self.y_column).minmax()
+            domain = (float(x_lo), float(y_lo), float(x_hi), float(y_hi))
+            active.footprint = (
+                self.table.name,
+                (env.xmin, env.ymin, env.xmax, env.ymax),
+                domain,
+            )
 
             with maybe_span("query.filter") as filter_span:
                 candidates = self._filter(
-                    env, use_imprints, threads=threads, stats=stats
+                    env, domain, use_imprints, threads=threads, stats=stats
                 )
                 if z_range is not None:
                     zmin, zmax = z_range
@@ -377,11 +354,9 @@ class SpatialSelect:
             ):
                 stats.n_results = int(candidates.shape[0])
                 query_span.set(rows_out=stats.n_results)
-                self._record_metrics(stats)
                 return QueryResult(oids=candidates, stats=stats)
 
-            if active is not None:
-                active.set_phase("refine")
+            active.set_phase("refine")
             with maybe_span("query.refine") as refine_span:
                 xs = self.table.column(self.x_column).take(candidates)
                 ys = self.table.column(self.y_column).take(candidates)
@@ -411,19 +386,7 @@ class SpatialSelect:
             oids = mask_select(mask, candidates)
             stats.n_results = int(oids.shape[0])
             query_span.set(rows_out=stats.n_results)
-            self._record_metrics(stats)
             return QueryResult(oids=oids, stats=stats)
-
-    @staticmethod
-    def _record_metrics(stats: QueryStats) -> None:
-        """Fold one query's stats into the process-wide registry."""
-        registry = get_registry()
-        registry.counter("query.count").inc()
-        registry.counter("query.segments_skipped").inc(stats.n_segments_skipped)
-        registry.counter("query.segments_probed").inc(stats.n_segments_probed)
-        registry.histogram("query.filter_seconds").observe(stats.filter_seconds)
-        registry.histogram("query.refine_seconds").observe(stats.refine_seconds)
-        registry.histogram("query.total_seconds").observe(stats.total_seconds)
 
     # -- reference path ----------------------------------------------------------
 

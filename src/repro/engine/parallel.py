@@ -25,11 +25,11 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from ..obs import queries as _queries
-from ..obs import resources as _resources
 from ..obs import trace as _trace
 from ..obs.metrics import get_registry
 
@@ -130,17 +130,13 @@ def run_tasks(
     :class:`~repro.obs.queries.ActiveQuery` resolve identically on the
     workers: per-worker spans land in the submitting query's trace, and
     cooperative deadline checks (one per morsel, before each task) see
-    the query's deadline.
+    the query's deadline, and workers credit their CPU to its record.
     """
     tasks = list(tasks)
     n_workers = min(resolve_threads(threads), len(tasks))
     tracer = _trace.get_tracer()
     recording = tracer.enabled
     parent = tracer.current() if recording else None
-    # Same hand-over as the span parent: worker threads have their own
-    # (empty) tracker stacks, so the caller's active resource tracker is
-    # captured here and credited explicitly from each worker.
-    tracker = _resources.current()
     if recording and tasks:
         get_registry().counter("parallel.tasks").inc(len(tasks))
 
@@ -154,8 +150,8 @@ def run_tasks(
 
     if n_workers <= 1:
         # Serial path: the tasks run on the caller's thread, whose CPU
-        # the tracker already measures — adding it again would double
-        # count, so no attribution here.
+        # the query record already measures — adding it again would
+        # double count, so no attribution here.
         return [run_one(i) for i in range(len(tasks))]
 
     results: List[R] = [None] * len(tasks)  # type: ignore[list-item]
@@ -165,26 +161,24 @@ def run_tasks(
 
     def worker() -> None:
         # Morsel-driven: each worker pulls the next unclaimed task until
-        # the queue drains, so skewed task costs self-balance.  One CPU
-        # reading per worker (not per task): thread_time is a syscall,
-        # and the delta over the whole drain is the same sum.
-        cpu0 = _resources.thread_cpu() if tracker is not None else 0.0
-        # Contextvars propagate into the worker (we run inside a copy of
-        # the caller's context), but the profiler samples *threads* — so
-        # each worker also registers in the registry's thread map for
-        # the duration of the drain.  Pool threads are reused across
-        # queries, which makes the unbind mandatory.
-        registry = _queries.get_queries()
+        # the queue drains, so skewed task costs self-balance.  The query
+        # record arrives with the copied context; the worker credits its
+        # CPU to it (one reading per drain: thread_time is a syscall) and,
+        # as the profiler samples *threads*, binds itself in the thread
+        # map for the drain.  Pool threads are reused across queries,
+        # which makes the unbind mandatory.
         active = _queries.current_query()
-        if active is not None:
-            registry.bind_thread(active)
+        if active is None:
+            _drain()
+            return
+        registry = _queries.get_queries()
+        registry.bind_thread(active)
+        cpu0 = time.thread_time()
         try:
             _drain()
         finally:
-            if active is not None:
-                registry.unbind_thread()
-            if tracker is not None:
-                tracker.add_cpu(_resources.thread_cpu() - cpu0)
+            registry.unbind_thread()
+            active.add_cpu(time.thread_time() - cpu0)
 
     def _drain() -> None:
         while True:

@@ -11,8 +11,8 @@ scan around them is one loop, and it lives here:
    :func:`repro.engine.parallel.run_tasks` (which checks the query
    deadline before every task), calling the caller's per-segment probe;
 3. it accounts the scan once — :class:`ScanStats`, live progress on the
-   active query, the resource tracker's bytes and one batched heat
-   update — and gathers FULL ranges and probe hits in segment order.
+   active query, the bytes credited to its record and one batched
+   heat update — and gathers FULL ranges and probe hits in segment order.
 
 A probe returns its segment's matching global oids, the bytes it read,
 and whether those bytes were read in encoded form.  The imprint probe
@@ -30,7 +30,6 @@ from numpy.typing import NDArray
 
 from ..obs import heat as _heat
 from ..obs import queries as _queries
-from ..obs import resources
 from ..obs.metrics import get_registry
 from . import parallel
 from .kernels import ZONE_FULL, ZONE_PROBE, ZONE_SKIP
@@ -78,14 +77,14 @@ def credit_scan(
     skipped: Sequence[int] = (),
     full: Sequence[int] = (),
 ) -> None:
-    """Credit a scan's data volume to the active resource tracker and
+    """Credit a scan's data volume to the active query's record and
     fold its per-segment outcomes into the heat map (one batched
     update per scan).  Zone-map skips and wholesale accepts read no
     data, so only the bytes the probes moved count."""
-    tracker = resources.current()
-    if tracker is not None and rows:
-        tracker.add_touched(rows=rows, nbytes=encoded + materialized)
-        tracker.add_scan_bytes(encoded=encoded, materialized=materialized)
+    active = _queries.current_query()
+    if active is not None and rows:
+        active.add_touched(rows=rows, nbytes=encoded + materialized)
+        active.add_scan_bytes(encoded=encoded, materialized=materialized)
     heat = _heat.maybe_heat()
     if heat is not None:
         heat.record_scan(column, probed=probed, skipped=skipped, full=full)

@@ -52,7 +52,7 @@ def _as_candidates(mask: NDArray[Any], candidates: Optional[NDArray[Any]]) -> ND
 
 
 def _account_touched(column: Column, vals: NDArray[Any]) -> None:
-    """Credit a plain scan's actual data volume (tracker and heat).
+    """Credit a plain scan's actual data volume (query record and heat).
 
     Post-candidate-list, so an imprint-filtered select reports the small
     read the index earned it, not the column size.  Plain scans

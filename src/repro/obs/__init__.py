@@ -33,8 +33,7 @@ from .queries import (
     current_query,
     get_queries,
 )
-from .resources import ResourceTracker, ResourceUsage
-from .resources import current as current_resource_tracker
+from .resources import ResourceUsage
 from .server import METRICS_PORT_ENV, TelemetryServer
 from .slowlog import (
     SLOW_QUERY_ENV,
@@ -75,7 +74,6 @@ __all__ = [
     "QueryCancelled",
     "QueryRegistry",
     "RemoteParent",
-    "ResourceTracker",
     "ResourceUsage",
     "SlowQueryLog",
     "Span",
@@ -84,7 +82,6 @@ __all__ = [
     "check_deadline",
     "current_context",
     "current_query",
-    "current_resource_tracker",
     "default_context",
     "format_record",
     "format_traceparent",

@@ -88,10 +88,10 @@ def parse_traceparent(token: str) -> RemoteParent:
 class ObsContext:
     """One scope's observability state: tracer, metrics, queries, usage.
 
-    ``resources`` accumulates the :class:`ResourceUsage` of every query
-    tracked while this context was active (the registry folds each
-    query's tracker in at finish), giving per-database / per-session
-    cumulative attribution for quotas and billing.
+    ``resources`` accumulates the :class:`ResourceUsage` of every root
+    query record finished while this context was active (a nested
+    record's usage is part of its root's), giving per-database /
+    per-session cumulative attribution for quotas and billing.
     """
 
     def __init__(
@@ -181,7 +181,7 @@ class ObsContext:
     # -- resource accumulation --------------------------------------------
 
     def absorb_usage(self, usage: ResourceUsage) -> None:
-        """Fold one finished query's usage into the context total."""
+        """Fold one finished root record's usage into the context total."""
         with self._lock:
             self.resources.cpu_seconds += usage.cpu_seconds
             self.resources.worker_cpu_seconds += usage.worker_cpu_seconds

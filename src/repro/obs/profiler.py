@@ -29,6 +29,7 @@ which keeps the output readable and the tests assertable.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -297,7 +298,16 @@ class SamplingProfiler:
     def sample_once(self) -> int:
         """One sweep over every live thread; returns stacks recorded."""
         t0 = now()
-        frames = sys._current_frames()
+        # A collection inside ``_current_frames`` can deadlock CPython
+        # 3.11 (gh-106883: GC runs while the call holds the thread-list
+        # lock), so GC is held off for that one call.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            frames = sys._current_frames()
+        finally:
+            if gc_enabled:
+                gc.enable()
         owners = self.queries.thread_map()
         sampler = self._thread
         skip_idents = {threading.get_ident()}

@@ -22,6 +22,12 @@ and segment-probe boundaries.  A missed deadline raises the typed
 :class:`QueryCancelled`, and the registry marks the record
 ``cancelled``.  Nested queries (a SQL query driving a spatial subquery)
 inherit the tighter of their own and their parent's deadline.
+
+The record is the query's one accounting channel: it owns the query's
+:class:`~repro.obs.resources.ResourceUsage`, and the query writes what
+it measured onto it (phase seconds, segment counts, bbox footprint).
+When ``track`` exits, :meth:`QueryRegistry._finish` feeds every
+consumer of the finished record in one place.
 """
 
 from __future__ import annotations
@@ -30,14 +36,15 @@ import itertools
 import os
 import threading
 import time
+import tracemalloc
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ._context_state import CURRENT
 from .metrics import get_registry
-from .resources import ResourceTracker
+from .resources import ResourceUsage, sample_allocations
 from .timing import now
 
 __all__ = [
@@ -50,6 +57,11 @@ __all__ = [
 ]
 
 _ids = itertools.count(1)
+
+#: A spatial query's ``(table, bbox, domain)``, bounds as
+#: ``(xmin, ymin, xmax, ymax)``: what the heat map rasterises.
+Bounds = Tuple[float, float, float, float]
+Footprint = Tuple[str, Bounds, Bounds]
 
 
 class QueryCancelled(RuntimeError):
@@ -70,22 +82,25 @@ class QueryCancelled(RuntimeError):
 
 
 class ActiveQuery:
-    """One in-flight (or recently finished) query's live record.
+    """One in-flight (or recently finished) query's record.
 
-    Identity (``query_id``, ``kind``, ``detail``, ``parent_id``,
+    Identity (``query_id``, ``kind``, ``detail``, ``parent``,
     ``timeout_s``, ``deadline``) is immutable after construction; the
-    mutable progress fields are guarded by ``_lock`` because morsel
-    workers tick them concurrently.
+    progress fields and ``usage`` are guarded by ``_lock`` because
+    morsel workers update them concurrently.  ``stats`` and
+    ``footprint`` are written by the query itself on its own thread.
     """
 
     __slots__ = (
         "query_id",
         "kind",
         "detail",
-        "parent_id",
+        "parent",
         "timeout_s",
         "deadline",
-        "tracker",
+        "usage",
+        "stats",
+        "footprint",
         "started",
         "started_ts",
         "_lock",
@@ -105,16 +120,18 @@ class ActiveQuery:
         detail: Optional[Dict[str, Any]] = None,
         timeout_s: Optional[float] = None,
         deadline: Optional[float] = None,
-        parent_id: Optional[str] = None,
-        tracker: Optional[ResourceTracker] = None,
+        parent: Optional["ActiveQuery"] = None,
     ):
         self.query_id = query_id
         self.kind = kind
         self.detail: Dict[str, Any] = dict(detail or {})
-        self.parent_id = parent_id
+        self.parent = parent
         self.timeout_s = timeout_s
         self.deadline = deadline
-        self.tracker = tracker
+        self.usage = ResourceUsage()
+        #: What the query measured (phase seconds, segment counts).
+        self.stats: Dict[str, float] = {}
+        self.footprint: Optional[Footprint] = None
         self.started = now()
         self.started_ts = time.time()  # wall clock, display only
         self._lock = threading.Lock()
@@ -125,6 +142,37 @@ class ActiveQuery:
         self._error: Optional[str] = None
         self._trace_id = 0
         self._elapsed: Optional[float] = None
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        return self.parent.query_id if self.parent is not None else None
+
+    # -- resource usage (called from worker threads) -----------------------
+
+    def _credit(self, **amounts: float) -> None:
+        # Every enclosing record is credited too: a SQL statement covers
+        # its spatial sub-queries, a served request its query.
+        query: Optional[ActiveQuery] = self
+        while query is not None:
+            with query._lock:
+                usage = query.usage
+                for name, amount in amounts.items():
+                    setattr(usage, name, getattr(usage, name) + amount)
+            query = query.parent
+
+    def add_cpu(self, seconds: float) -> None:
+        """Attribute worker-thread CPU to this query (and its parents)."""
+        if seconds > 0.0:
+            self._credit(cpu_seconds=seconds, worker_cpu_seconds=seconds)
+
+    def add_touched(self, rows: int = 0, nbytes: int = 0) -> None:
+        """Attribute rows/bytes a scan operator actually read."""
+        self._credit(rows_touched=rows, bytes_touched=nbytes)
+
+    def add_scan_bytes(self, encoded: int = 0, materialized: int = 0) -> None:
+        """Attribute the packed-vs-plain byte split of a scan: bytes read
+        in compressed form versus their plain-array equivalent."""
+        self._credit(encoded_bytes=encoded, materialized_bytes=materialized)
 
     # -- progress (called from worker threads) -----------------------------
 
@@ -148,25 +196,11 @@ class ActiveQuery:
             timeout = self.timeout_s if self.timeout_s is not None else 0.0
             raise QueryCancelled(self.query_id, timeout, now() - self.started)
 
-    def finish(self, status: str, error: Optional[str] = None) -> None:
-        with self._lock:
-            self._status = status
-            self._error = error
-            self._elapsed = now() - self.started
-
     # -- views -------------------------------------------------------------
-
-    @property
-    def phase(self) -> str:
-        return self._phase
 
     @property
     def status(self) -> str:
         return self._status
-
-    @property
-    def trace_id(self) -> int:
-        return self._trace_id
 
     @property
     def progress(self) -> float:
@@ -178,12 +212,6 @@ class ActiveQuery:
             return 0.0
         return min(1.0, done / total)
 
-    def elapsed_s(self) -> float:
-        with self._lock:
-            if self._elapsed is not None:
-                return self._elapsed
-        return now() - self.started
-
     def to_dict(self) -> Dict[str, Any]:
         with self._lock:
             total = self._segments_total
@@ -193,6 +221,7 @@ class ActiveQuery:
             error = self._error
             trace_id = self._trace_id
             elapsed = self._elapsed
+            resources = self.usage.to_dict()
         record: Dict[str, Any] = {
             "query_id": self.query_id,
             "kind": self.kind,
@@ -205,15 +234,16 @@ class ActiveQuery:
             "elapsed_s": elapsed if elapsed is not None else now() - self.started,
             "started_ts": self.started_ts,
             "trace_id": trace_id,
+            "resources": resources,
         }
-        if self.parent_id is not None:
-            record["parent_id"] = self.parent_id
+        if self.stats:
+            record["stats"] = dict(self.stats)
+        if self.parent is not None:
+            record["parent_id"] = self.parent.query_id
         if self.timeout_s is not None:
             record["timeout_s"] = self.timeout_s
         if error is not None:
             record["error"] = error
-        if self.tracker is not None:
-            record["resources"] = self.tracker.usage.to_dict()
         return record
 
 
@@ -311,15 +341,15 @@ class QueryRegistry:
         kind: str,
         detail: Optional[Dict[str, Any]] = None,
         timeout_s: Optional[float] = None,
-        tracker: Optional[ResourceTracker] = None,
     ) -> Iterator[ActiveQuery]:
         """Publish an :class:`ActiveQuery` for the duration of a query.
 
-        Sets the active-query context variable (so progress hooks and
-        deadline checks anywhere below — including morsel workers, which
-        inherit a copy of this context — find the record), and retires
-        it into the recent ring on the way out with status ``finished``,
-        ``cancelled`` (:class:`QueryCancelled`) or ``error``.
+        Sets the active-query context variable (so progress hooks,
+        deadline checks and usage credits anywhere below — including
+        morsel workers, which inherit a copy of this context — find the
+        record), measures the calling thread's CPU, and finishes the
+        record on the way out with status ``finished``, ``cancelled``
+        (:class:`QueryCancelled`) or ``error``.
         """
         parent = _ACTIVE.get()
         deadline = now() + timeout_s if timeout_s is not None else None
@@ -335,16 +365,20 @@ class QueryRegistry:
             detail=detail,
             timeout_s=timeout_s,
             deadline=deadline,
-            parent_id=parent.query_id if parent is not None else None,
-            tracker=tracker,
+            parent=parent,
         )
         with self._lock:
             self._active[query.query_id] = query
             n_active = len(self._active)
-        registry = get_registry()
-        registry.gauge("query.active").set(float(n_active))
+        get_registry().gauge("query.active").set(float(n_active))
         token = _ACTIVE.set(query)
         previous_binding = self.bind_thread(query)
+        malloc = sample_allocations()
+        if malloc:
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+        cpu0 = time.thread_time()
         status = "finished"
         error: Optional[str] = None
         try:
@@ -357,22 +391,64 @@ class QueryRegistry:
             error = type(exc).__name__
             raise
         finally:
+            cpu = max(time.thread_time() - cpu0, 0.0)
+            peak = None
+            if malloc and tracemalloc.is_tracing():
+                peak = int(tracemalloc.get_traced_memory()[1])
             self.unbind_thread(previous_binding)
             _ACTIVE.reset(token)
-            query.finish(status, error)
-            with self._lock:
-                self._active.pop(query.query_id, None)
-                self._recent.append(query.to_dict())
-                n_active = len(self._active)
-            registry = get_registry()
-            registry.gauge("query.active").set(float(n_active))
-            if status == "cancelled":
+            with query._lock:
+                query._status = status
+                query._error = error
+                query._elapsed = now() - query.started
+                # The caller thread's own CPU is not credited upwards:
+                # the parents' thread-CPU windows already cover it.
+                query.usage.cpu_seconds += cpu
+                if peak is not None:
+                    query.usage.peak_alloc_bytes = peak
+            self._finish(query)
+
+    def _finish(self, query: ActiveQuery) -> None:
+        """Retire a closed record into the ring and feed its consumers.
+
+        Lifecycle counters and the context total count root records only
+        (a nested record is already inside its root).  Metrics and heat
+        come from the stats a finished query wrote; a bare ``track``
+        writes none and emits nothing.
+        """
+        with self._lock:
+            self._active.pop(query.query_id, None)
+            self._recent.append(query.to_dict())
+            n_active = len(self._active)
+        registry = get_registry()
+        registry.gauge("query.active").set(float(n_active))
+        if query.parent is None:
+            if query.status == "cancelled":
                 registry.counter("query.cancelled").inc()
-            elif status == "error":
+            elif query.status == "error":
                 registry.counter("query.errors").inc()
             context = CURRENT.get()
-            if context is not None and tracker is not None:
-                context.absorb_usage(tracker.usage)
+            if context is not None:
+                context.absorb_usage(query.usage)
+        stats = query.stats
+        if query.status != "finished" or not stats:
+            return
+        if query.kind == "spatial":
+            registry.counter("query.count").inc()
+            registry.counter("query.segments_skipped").inc(int(stats["n_segments_skipped"]))
+            registry.counter("query.segments_probed").inc(int(stats["n_segments_probed"]))
+            registry.histogram("query.filter_seconds").observe(stats["filter_seconds"])
+            registry.histogram("query.refine_seconds").observe(stats["refine_seconds"])
+            registry.histogram("query.total_seconds").observe(stats["total_seconds"])
+            registry.histogram("query.cpu_seconds").observe(query.usage.cpu_seconds)
+            from .heat import maybe_heat  # lazy: heat imports this module
+
+            heat = maybe_heat()
+            if heat is not None and query.footprint is not None:
+                heat.record_footprint(*query.footprint, query.usage.bytes_touched)
+        elif query.kind == "sql":
+            registry.counter("sql.queries").inc()
+            registry.histogram("sql.seconds").observe(stats["total"])
 
 
 _global_queries = QueryRegistry()

@@ -1,55 +1,47 @@
 """Per-query resource attribution: CPU time, allocations, data touched.
 
 Wall-clock phase timings (:class:`~repro.core.query.QueryStats`, spans)
-say how long a query took; this module says what it *consumed* while
-doing so — the difference between "slow because the machine was busy"
-and "slow because the query did a lot of work".  A
-:class:`ResourceTracker` wraps one query and accumulates:
+say how long a query took; :class:`ResourceUsage` says what it
+*consumed* while doing so — the difference between "slow because the
+machine was busy" and "slow because the query did a lot of work".
+
+The usage is accumulated on the query's own registry record
+(:class:`~repro.obs.queries.ActiveQuery`), which
+:meth:`~repro.obs.queries.QueryRegistry.track` opens and closes:
 
 * **CPU seconds** — thread CPU time (``time.thread_time``) of the
-  calling thread, plus the CPU burned by morsel workers on the query's
-  behalf.  Worker threads do not share the caller's clock, so
-  :func:`repro.engine.parallel.run_tasks` captures the caller's active
-  tracker (the same hand-over it does for the tracer's parent span) and
-  adds each worker's thread-CPU delta via :meth:`ResourceTracker.add_cpu`.
+  calling thread, measured by ``track`` at exit, plus the CPU morsel
+  workers burn on the query's behalf: each worker of
+  :func:`repro.engine.parallel.run_tasks` credits its own thread-CPU
+  delta to the record it finds through ``current_query()``.
 * **Peak allocations** — opt-in via :mod:`tracemalloc`: when tracing is
-  active (``tracemalloc.start()`` or ``REPRO_TRACEMALLOC=1``), the
-  tracker resets the peak at entry and reports the high-water mark of
-  traced allocations over the query.
-* **Rows / bytes touched** — the scan operators in
-  :mod:`repro.engine.select` report how much column data each select
-  actually read (post-candidate-list, so an imprint-filtered query
-  reports the small number the index earned it).
-
-Trackers nest: a SQL query's tracker sees the spatial sub-query's worker
-CPU and touched bytes too, because additions propagate up the stack.
-The disabled-path cost is one thread-local read per instrumented site.
+  active (``tracemalloc.start()`` or ``REPRO_TRACEMALLOC=1``), ``track``
+  resets the peak at entry and reports the high-water mark of traced
+  allocations over the query.
+* **Rows / bytes touched** — the scan operators report how much column
+  data each select actually read (post-candidate-list, so an
+  imprint-filtered query reports the small number the index earned it).
 """
 
 from __future__ import annotations
 
 import os
-import threading
-import time
 import tracemalloc
 from dataclasses import dataclass
-from types import TracebackType
-from typing import Dict, Optional, Type
+from typing import Dict, Optional
 
-#: Environment switch: start tracemalloc at first tracker entry so peak
-#: allocation attribution is on for the whole process.
+#: Environment switch: start tracemalloc at the first tracked query so
+#: peak allocation attribution is on for the whole process.
 TRACEMALLOC_ENV = "REPRO_TRACEMALLOC"
 
 _FALSY = ("", "0", "false", "no", "off")
 
 
-def thread_cpu() -> float:
-    """CPU seconds consumed by the *current thread* (the clock both the
-    caller's delta and each worker's delta are measured on)."""
-    return time.thread_time()
-
-
-def _env_tracemalloc() -> bool:
+def sample_allocations() -> bool:
+    """Whether queries sample peak allocations: tracemalloc is already
+    tracing, or ``REPRO_TRACEMALLOC`` asks for it."""
+    if tracemalloc.is_tracing():
+        return True
     return os.environ.get(TRACEMALLOC_ENV, "").strip().lower() not in _FALSY
 
 
@@ -86,112 +78,3 @@ class ResourceUsage:
             "encoded_bytes": self.encoded_bytes,
             "materialized_bytes": self.materialized_bytes,
         }
-
-
-class ResourceTracker:
-    """Accumulate one query's resource usage, as a context manager.
-
-    The entering thread's CPU delta is measured at exit; cross-thread
-    contributions arrive through :meth:`add_cpu` / :meth:`add_touched`,
-    which are thread-safe and propagate to enclosing trackers so a SQL
-    statement's tracker includes its spatial sub-queries.
-
-    ``trace_malloc=None`` (the default) samples allocations only when
-    tracemalloc is already tracing or ``REPRO_TRACEMALLOC`` is set;
-    ``True`` forces sampling on (starting tracemalloc if needed).
-    """
-
-    __slots__ = ("usage", "_parent", "_lock", "_cpu0", "_malloc", "_entered")
-
-    def __init__(self, trace_malloc: Optional[bool] = None) -> None:
-        self.usage = ResourceUsage()
-        self._parent: Optional["ResourceTracker"] = None
-        self._lock = threading.Lock()
-        self._cpu0 = 0.0
-        self._entered = False
-        if trace_malloc is None:
-            self._malloc = tracemalloc.is_tracing() or _env_tracemalloc()
-        else:
-            self._malloc = trace_malloc
-
-    def __enter__(self) -> "ResourceTracker":
-        stack = _stack()
-        self._parent = stack[-1] if stack else None
-        stack.append(self)
-        self._entered = True
-        if self._malloc:
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-            tracemalloc.reset_peak()
-        self._cpu0 = thread_cpu()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> bool:
-        own_cpu = max(thread_cpu() - self._cpu0, 0.0)
-        with self._lock:
-            self.usage.cpu_seconds += own_cpu
-        if self._malloc and tracemalloc.is_tracing():
-            _traced, peak = tracemalloc.get_traced_memory()
-            self.usage.peak_alloc_bytes = int(peak)
-        stack = _stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        self._entered = False
-        return False
-
-    # -- cross-thread contributions --------------------------------------------
-
-    def add_cpu(self, seconds: float) -> None:
-        """Attribute worker-thread CPU to this query (and its parents)."""
-        if seconds <= 0.0:
-            return
-        with self._lock:
-            self.usage.cpu_seconds += seconds
-            self.usage.worker_cpu_seconds += seconds
-        if self._parent is not None:
-            self._parent.add_cpu(seconds)
-
-    def add_touched(self, rows: int = 0, nbytes: int = 0) -> None:
-        """Attribute rows/bytes a scan operator actually read."""
-        with self._lock:
-            self.usage.rows_touched += rows
-            self.usage.bytes_touched += nbytes
-        if self._parent is not None:
-            self._parent.add_touched(rows, nbytes)
-
-    def add_scan_bytes(self, encoded: int = 0, materialized: int = 0) -> None:
-        """Attribute the packed-vs-plain byte split of a scan: bytes read
-        in compressed form versus their plain-array equivalent."""
-        with self._lock:
-            self.usage.encoded_bytes += encoded
-            self.usage.materialized_bytes += materialized
-        if self._parent is not None:
-            self._parent.add_scan_bytes(encoded, materialized)
-
-
-def _stack() -> list["ResourceTracker"]:
-    stack: Optional[list[ResourceTracker]] = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
-
-
-_local = threading.local()
-
-
-def current() -> Optional[ResourceTracker]:
-    """The innermost tracker open on this thread, or ``None``.
-
-    Instrumented hot paths call this once per operator and skip all
-    attribution when it returns ``None``; schedulers capture it on the
-    caller's thread before fanning work out (worker threads have their
-    own, empty, stacks).
-    """
-    stack: Optional[list[ResourceTracker]] = getattr(_local, "stack", None)
-    return stack[-1] if stack else None

@@ -9,7 +9,7 @@ Layering (each importable and testable without the ones above it)::
 
     wire        binary columnar response framing
     admission   bounded concurrency + bounded queue + immediate shed
-    quotas      per-tenant CPU/rows budgets over ResourceTracker
+    quotas      per-tenant CPU/rows budgets over each request's usage
     snapshot    readers pin a catalog generation; writers publish
     sessions    pooled SQL sessions keyed by generation
     service     the transport-independent request path

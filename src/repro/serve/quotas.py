@@ -1,7 +1,8 @@
 """Per-tenant resource quotas over the PR 5 attribution machinery.
 
-Every query already produces a :class:`~repro.obs.resources.ResourceUsage`
-(CPU seconds, rows touched, bytes scanned) via :class:`ResourceTracker`.
+Every served request runs under a ``request`` record of the query
+registry, whose :class:`~repro.obs.resources.ResourceUsage` (CPU
+seconds, rows touched, bytes scanned) covers the query nested under it.
 The :class:`QuotaLedger` turns that attribution into enforcement: each
 tenant carries cumulative usage against an optional
 :class:`TenantBudget`, checked *before* admission (an exhausted tenant

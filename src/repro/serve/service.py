@@ -14,9 +14,10 @@ it directly.  One request travels:
    adopting the inbound ``traceparent``, shared registry/query log) and
    a per-request deadline wired into the engine's cooperative
    cancellation (:class:`~repro.obs.queries.QueryCancelled`).
-5. **Charge** — the request's :class:`ResourceTracker` usage is folded
-   into the tenant's ledger, cancelled and failed requests included
-   (they consumed the CPU either way).
+5. **Charge** — the request runs under a ``request`` registry record
+   that its spatial or SQL query nests under; the record's usage is
+   folded into the tenant's ledger, cancelled and failed requests
+   included (they consumed the CPU either way).
 
 Failures stay typed all the way up so the HTTP layer can map them:
 ``BadRequest`` (400), ``CatalogError``/``SchemaError`` (404),
@@ -38,7 +39,7 @@ import numpy as np
 from ..engine import durable
 from ..gis.envelope import Box
 from ..obs.context import ObsContext, default_context
-from ..obs.resources import ResourceTracker
+from ..obs.queries import ActiveQuery, get_queries
 from ..obs.timing import now
 from ..sql.executor import Result
 from . import wire
@@ -163,9 +164,12 @@ class QueryService:
             timeout_s = self._resolve_timeout(payload)
             with self.snapshots.pin() as snapshot:
                 context = snapshot.db.request_context(traceparent)
-                tracker = ResourceTracker()
+                record: Optional[ActiveQuery] = None
                 try:
-                    with context.activate(), tracker:
+                    with context.activate(), get_queries().track(
+                        "request", detail={"endpoint": endpoint, "tenant": tenant}
+                    ) as record:
+                        record.set_phase("execute")
                         if endpoint == "query":
                             response = self._spatial(
                                 snapshot, payload, timeout_s
@@ -180,9 +184,10 @@ class QueryService:
                                 f"(want 'query' or 'sql')"
                             )
                 finally:
-                    # Cancelled and failed requests burned the CPU too;
-                    # the ledger charges what actually happened.
-                    self.quotas.charge(tenant, tracker.usage)
+                    # Once the record has closed (its usage then has this
+                    # thread's CPU); failed requests burned CPU too.
+                    if record is not None:
+                        self.quotas.charge(tenant, record.usage)
                 durable.crash_point(
                     "serve.request.executed", endpoint=endpoint
                 )

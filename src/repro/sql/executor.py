@@ -40,7 +40,7 @@ from ..engine.table import Table
 from ..gis.geometry import Geometry
 from ..obs.context import ObsContext, default_context
 from ..obs.queries import get_queries
-from ..obs.resources import ResourceTracker, ResourceUsage
+from ..obs.resources import ResourceUsage
 from ..obs.timing import now
 from ..obs.trace import format_tree, maybe_span
 from . import ast
@@ -248,18 +248,13 @@ class Session:
                 columns=["plan"], rows=[(line,) for line in text.splitlines()]
             )
 
-        # The tracker nests inside any caller's tracker (the spatial
-        # sub-query's own tracker nests inside this one in turn), so the
-        # SQL statement's attribution includes its index probes.
-        tracker = ResourceTracker()
+        # The statement's record is the parent of any spatial sub-query's,
+        # so its usage includes the index probes.
         with self.obs.activate(), get_queries().track(
             "sql",
             detail={"sql": sql.strip()},
             timeout_s=timeout_s,
-            tracker=tracker,
-        ) as active, tracker, maybe_span(
-            "sql.query", sql=sql.strip()
-        ) as query_span:
+        ) as active, maybe_span("sql.query", sql=sql.strip()) as query_span:
             query_span.set(query_id=active.query_id)
             trace_id = getattr(query_span, "trace_id", 0)
             if trace_id:
@@ -273,20 +268,23 @@ class Session:
             result, t_join = self._run_profiled(select)
             t2 = now()
             query_span.set(rows_out=len(result.rows))
-        self.last_resources = tracker.usage
+            active.stats.update(
+                parse=t1 - t0,
+                join_filter=t_join,
+                project=(t2 - t1) - t_join,
+                total=t2 - t0,
+            )
+        self.last_resources = active.usage
         self.last_query_id = active.query_id
-        self.last_profile = {
-            "parse": t1 - t0,
-            "join_filter": t_join,
-            "project": (t2 - t1) - t_join,
-            "total": t2 - t0,
-        }
-        registry = self.obs.registry
-        registry.counter("sql.queries").inc()
-        registry.histogram("sql.seconds").observe(t2 - t0)
+        self.last_profile = dict(active.stats)
         return result
 
-    def _run_profiled(self, select: ast.Select):
+    def _bind(
+        self, select: ast.Select
+    ) -> Tuple[List[Tuple[str, Relation]], List[ast.Node]]:
+        """The statement's ``(binding, relation)`` pairs and its WHERE/ON
+        conjuncts — shared by execution and EXPLAIN, so both reject
+        unknown tables and duplicate bindings alike."""
         refs: List[ast.TableRef] = list(select.tables)
         conjuncts: List[ast.Node] = []
         for table_ref, condition in select.joins:
@@ -302,10 +300,13 @@ class Session:
                     f"duplicate table binding {ref.binding!r}"
                 )
             seen.add(ref.binding)
-            relation = self.relation(ref.name)
-            relation.refresh()
-            bindings.append((ref.binding, relation))
+            bindings.append((ref.binding, self.relation(ref.name)))
+        return bindings, conjuncts
 
+    def _run_profiled(self, select: ast.Select):
+        bindings, conjuncts = self._bind(select)
+        for _, relation in bindings:
+            relation.refresh()
         t0 = now()
         frame = _join(bindings, conjuncts)
         t_join = now() - t0
@@ -320,13 +321,7 @@ class Session:
         residual vectorised filters.
         """
         select = parse(sql)
-        refs: List[ast.TableRef] = list(select.tables)
-        conjuncts: List[ast.Node] = []
-        for table_ref, condition in select.joins:
-            refs.append(table_ref)
-            conjuncts.extend(_conjuncts_of(condition))
-        conjuncts.extend(_conjuncts_of(select.where))
-        bindings = [(ref.binding, self.relation(ref.name)) for ref in refs]
+        bindings, conjuncts = self._bind(select)
         return _explain_plan(select, bindings, conjuncts)
 
     def explain_analyze(self, sql: str) -> str:

@@ -14,7 +14,7 @@ from repro.engine.column import Column
 from repro.engine.compressed import CompressedColumn, ScanStats
 from repro.engine.select import range_select, theta_select
 from repro.engine.table import Table
-from repro.obs.resources import ResourceTracker
+from repro.obs.queries import QueryRegistry
 
 THETA_OPS = ["==", "!=", "<", "<=", ">", ">="]
 
@@ -195,24 +195,21 @@ class TestSelectDispatch:
         assert _packed_for(column, None, None, None) is not None
 
     def test_packed_attribution_counts_encoded_bytes(self, column, values):
-        tracker = ResourceTracker()
-        with tracker:
+        with QueryRegistry().track("bench") as record:
             range_select(column, 41_000, 43_000)
-        packed_bytes = tracker.usage.bytes_touched
+        packed_bytes = record.usage.bytes_touched
         assert 0 < packed_bytes < values.nbytes / 2
 
         column.drop_packed()
-        tracker2 = ResourceTracker()
-        with tracker2:
+        with QueryRegistry().track("bench") as record2:
             range_select(column, 41_000, 43_000)
-        assert tracker2.usage.bytes_touched == values.nbytes
+        assert record2.usage.bytes_touched == values.nbytes
 
     def test_all_skip_attribution_is_free(self, column):
-        tracker = ResourceTracker()
-        with tracker:
+        with QueryRegistry().track("bench") as record:
             result = range_select(column, 10**9, 2 * 10**9)
         assert result.shape == (0,)
-        assert tracker.usage.bytes_touched == 0
+        assert record.usage.bytes_touched == 0
 
 
 class TestTableCompression:

@@ -175,6 +175,38 @@ class TestUsageAccumulation:
         assert context.resources.cpu_seconds > 0.0
         assert context.resources.rows_touched > 0
 
+    def test_nested_queries_count_once(self):
+        """A SQL statement's spatial sub-query is part of the statement's
+        usage; the context total adds the root record only."""
+        context = ObsContext.fresh(enabled=False)
+        db = PointCloudDB(obs=context)
+        db.create_pointcloud("pts")
+        rng = np.random.default_rng(5)
+        db.load_points(
+            "pts",
+            {
+                "x": rng.uniform(0, 100, 20_000),
+                "y": rng.uniform(0, 100, 20_000),
+                "z": rng.uniform(0, 10, 20_000),
+            },
+        )
+        db.sql(
+            "SELECT count(*) FROM pts "
+            "WHERE ST_Contains(ST_GeomFromText("
+            "'POLYGON((10 10, 80 10, 80 80, 10 80, 10 10))'), "
+            "ST_Point(pts.x, pts.y))"
+        )
+        records = {r["kind"]: r for r in context.queries.recent()}
+        statement, child = records["sql"], records["spatial"]
+        assert child["parent_id"] == statement["query_id"]
+        rows = statement["resources"]["rows_touched"]
+        assert rows > 0
+        assert child["resources"]["rows_touched"] == rows
+        assert context.resources.rows_touched == rows
+        assert context.resources.bytes_touched == (
+            statement["resources"]["bytes_touched"]
+        )
+
 
 class TestFlight:
     def test_custom_context_gets_its_own_recorder(self):

@@ -166,6 +166,42 @@ class TestSamplingProfiler:
         with pytest.raises(ValueError):
             SamplingProfiler(rate_hz=0)
 
+    @pytest.mark.parametrize("gc_on", [True, False])
+    def test_frame_snapshot_holds_off_gc(self, monkeypatch, gc_on):
+        """A GC inside ``sys._current_frames()`` can deadlock CPython
+        3.11 (gh-106883): the sweep disables GC around that one call and
+        restores the caller's setting, also when the call raises."""
+        import gc
+        import sys
+
+        real = sys._current_frames
+        seen = []
+
+        def recording():
+            seen.append(gc.isenabled())
+            return real()
+
+        def raising():
+            seen.append(gc.isenabled())
+            raise RuntimeError("boom")
+
+        profiler = SamplingProfiler(
+            rate_hz=100.0, queries=QueryRegistry(), registry=MetricsRegistry()
+        )
+        was_enabled = gc.isenabled()
+        (gc.enable if gc_on else gc.disable)()
+        try:
+            monkeypatch.setattr(sys, "_current_frames", recording)
+            profiler.sample_once()
+            assert gc.isenabled() is gc_on
+            monkeypatch.setattr(sys, "_current_frames", raising)
+            with pytest.raises(RuntimeError, match="boom"):
+                profiler.sample_once()
+            assert gc.isenabled() is gc_on
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False, False]
+
     def test_sample_once_sees_busy_thread(self, busy_thread):
         profiler = SamplingProfiler(
             rate_hz=100.0, queries=QueryRegistry(), registry=MetricsRegistry()

@@ -8,50 +8,94 @@ import pytest
 from repro import Box, PointCloudDB
 from repro.engine import parallel
 from repro.obs import resources
-from repro.obs.resources import ResourceTracker, ResourceUsage
+from repro.obs.queries import QueryRegistry, current_query
+from repro.obs.resources import ResourceUsage
 
 
 class TestTracker:
+    """The query record is the accumulator: ``track()`` opens it, and
+    usage credited to it propagates to every enclosing record."""
+
     def test_no_tracker_means_no_current(self):
-        assert resources.current() is None
+        assert current_query() is None
 
     def test_current_inside_context(self):
-        with ResourceTracker() as tracker:
-            assert resources.current() is tracker
-        assert resources.current() is None
+        with QueryRegistry().track("spatial") as record:
+            assert current_query() is record
+        assert current_query() is None
 
     def test_trackers_nest_and_unwind(self):
-        with ResourceTracker() as outer:
-            with ResourceTracker() as inner:
-                assert resources.current() is inner
-            assert resources.current() is outer
+        registry = QueryRegistry()
+        with registry.track("sql") as outer:
+            with registry.track("spatial") as inner:
+                assert current_query() is inner
+                assert inner.parent is outer
+            assert current_query() is outer
 
     def test_caller_cpu_measured_at_exit(self):
-        with ResourceTracker() as tracker:
+        with QueryRegistry().track("spatial") as record:
             sum(i * i for i in range(200_000))
-        assert tracker.usage.cpu_seconds > 0.0
-        assert tracker.usage.worker_cpu_seconds == 0.0
+            assert record.usage.cpu_seconds == 0.0  # not until exit
+        assert record.usage.cpu_seconds > 0.0
+        assert record.usage.worker_cpu_seconds == 0.0
 
     def test_add_cpu_propagates_to_parents(self):
-        with ResourceTracker() as outer:
-            with ResourceTracker() as inner:
+        registry = QueryRegistry()
+        with registry.track("sql") as outer:
+            with registry.track("spatial") as inner:
                 inner.add_cpu(0.5)
         assert inner.usage.worker_cpu_seconds == pytest.approx(0.5)
         assert outer.usage.worker_cpu_seconds == pytest.approx(0.5)
 
     def test_add_touched_propagates_to_parents(self):
-        with ResourceTracker() as outer:
-            with ResourceTracker() as inner:
+        registry = QueryRegistry()
+        with registry.track("sql") as outer:
+            with registry.track("spatial") as inner:
                 inner.add_touched(rows=10, nbytes=80)
-        for tracker in (inner, outer):
-            assert tracker.usage.rows_touched == 10
-            assert tracker.usage.bytes_touched == 80
+                inner.add_scan_bytes(encoded=30, materialized=50)
+        for record in (inner, outer):
+            assert record.usage.rows_touched == 10
+            assert record.usage.bytes_touched == 80
+            assert record.usage.encoded_bytes == 30
+            assert record.usage.materialized_bytes == 50
+
+    def test_concurrent_credits_are_not_lost(self):
+        """Workers credit one record (and its parent) concurrently; every
+        read-modify-write is under the record's lock."""
+        import sys
+
+        registry = QueryRegistry()
+        n_threads, n_credits = 8, 2000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with registry.track("sql") as outer:
+                with registry.track("spatial") as inner:
+
+                    def credit():
+                        for _ in range(n_credits):
+                            inner.add_touched(rows=1, nbytes=8)
+
+                    threads = [
+                        threading.Thread(target=credit) for _ in range(n_threads)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for record in (inner, outer):
+            assert record.usage.rows_touched == n_threads * n_credits
+            assert record.usage.bytes_touched == 8 * n_threads * n_credits
 
     def test_worker_threads_have_their_own_stack(self):
+        """A raw thread started without ``copy_context`` sees no record."""
         seen = []
-        with ResourceTracker():
+        with QueryRegistry().track("spatial"):
             thread = threading.Thread(
-                target=lambda: seen.append(resources.current())
+                target=lambda: seen.append(current_query())
             )
             thread.start()
             thread.join()
@@ -61,13 +105,28 @@ class TestTracker:
         import tracemalloc
 
         was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
         try:
-            with ResourceTracker(trace_malloc=True) as tracker:
+            with QueryRegistry().track("spatial") as record:
                 _scratch = bytearray(4 * 1024 * 1024)
         finally:
-            if not was_tracing and tracemalloc.is_tracing():
+            if not was_tracing:
                 tracemalloc.stop()
-        assert tracker.usage.peak_alloc_bytes >= 4 * 1024 * 1024
+        assert record.usage.peak_alloc_bytes >= 4 * 1024 * 1024
+
+    def test_env_switch_starts_tracing(self, monkeypatch):
+        import tracemalloc
+
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already on in this process")
+        monkeypatch.setenv(resources.TRACEMALLOC_ENV, "1")
+        try:
+            with QueryRegistry().track("spatial") as record:
+                _scratch = bytearray(1024 * 1024)
+        finally:
+            tracemalloc.stop()
+        assert record.usage.peak_alloc_bytes >= 1024 * 1024
 
     def test_peak_is_none_when_sampling_off(self, monkeypatch):
         import tracemalloc
@@ -75,9 +134,9 @@ class TestTracker:
         monkeypatch.delenv(resources.TRACEMALLOC_ENV, raising=False)
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc already on in this process")
-        with ResourceTracker() as tracker:
+        with QueryRegistry().track("spatial") as record:
             pass
-        assert tracker.usage.peak_alloc_bytes is None
+        assert record.usage.peak_alloc_bytes is None
 
     def test_usage_to_dict_is_json_friendly(self):
         usage = ResourceUsage(
@@ -99,19 +158,19 @@ class TestMorselAttribution:
         def burn(i):
             return sum(j * j for j in range(50_000))
 
-        with ResourceTracker() as tracker:
+        with QueryRegistry().track("spatial") as record:
             parallel.run_tasks(burn, list(range(16)), threads=4)
-        assert tracker.usage.worker_cpu_seconds > 0.0
-        assert tracker.usage.cpu_seconds >= tracker.usage.worker_cpu_seconds
+        assert record.usage.worker_cpu_seconds > 0.0
+        assert record.usage.cpu_seconds >= record.usage.worker_cpu_seconds
 
     def test_serial_path_attributes_via_caller_only(self):
-        with ResourceTracker() as tracker:
+        with QueryRegistry().track("spatial") as record:
             parallel.run_tasks(
                 lambda i: sum(j for j in range(50_000)), list(range(8)), threads=1
             )
         # The caller's own clock covers serial work; no double counting.
-        assert tracker.usage.worker_cpu_seconds == 0.0
-        assert tracker.usage.cpu_seconds > 0.0
+        assert record.usage.worker_cpu_seconds == 0.0
+        assert record.usage.cpu_seconds > 0.0
 
 
 class TestQueryIntegration:

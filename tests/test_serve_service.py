@@ -293,6 +293,26 @@ class TestQuotas:
         report = service.quotas.report("t")
         assert report["budget"]["cpu_seconds"]["used"] > 0
 
+    def test_ledger_charges_the_request_record(self, context, cloud):
+        """The query nests under the request's registry record; the
+        ledger charges that record's usage, which includes the query's."""
+        db, _ = cloud
+        service = service_for(context, db)
+        service.handle(
+            "sql",
+            {"sql": "SELECT count(*) FROM pts WHERE x < 50"},
+            tenant="t",
+        )
+        recent = context.queries.recent()
+        (request,) = [r for r in recent if r["kind"] == "request"]
+        (statement,) = [r for r in recent if r["kind"] == "sql"]
+        assert request["detail"] == {"endpoint": "sql", "tenant": "t"}
+        assert statement["parent_id"] == request["query_id"]
+        rows = request["resources"]["rows_touched"]
+        assert rows == statement["resources"]["rows_touched"] > 0
+        report = service.quotas.report("t")
+        assert report["budget"]["rows_touched"]["used"] == rows
+
     def test_exhausted_tenant_never_takes_a_slot(self, context, cloud):
         db, _ = cloud
         config = ServiceConfig(

@@ -6,7 +6,7 @@ import pytest
 from repro.engine.catalog import Database
 from repro.las.binloader import create_flat_table, load_arrays
 from repro.obs.trace import get_tracer
-from repro.sql.executor import Session
+from repro.sql.executor import Session, SqlExecutionError
 
 N_POINTS = 4000
 
@@ -154,3 +154,26 @@ class TestProfilePreserved:
             "project",
             "total",
         }
+
+
+class TestExplainBinding:
+    """EXPLAIN and execution share one binding check, so a plan is only
+    rendered for a statement that could run."""
+
+    DUPLICATE = "SELECT count(*) FROM points x, points x WHERE x.z > 5"
+
+    def test_execute_rejects_duplicate_binding(self, session):
+        with pytest.raises(SqlExecutionError, match="duplicate table binding"):
+            session.execute(self.DUPLICATE)
+
+    @pytest.mark.parametrize("prefix", ["", "EXPLAIN ", "EXPLAIN ANALYZE "])
+    def test_explain_rejects_duplicate_binding(self, session, prefix):
+        with pytest.raises(SqlExecutionError, match="duplicate table binding"):
+            if prefix:
+                session.execute(prefix + self.DUPLICATE)
+            else:
+                session.explain(self.DUPLICATE)
+
+    def test_explain_rejects_unknown_table(self, session):
+        with pytest.raises(SqlExecutionError, match="unknown table"):
+            session.explain("SELECT count(*) FROM nowhere")
